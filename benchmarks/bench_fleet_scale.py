@@ -19,21 +19,24 @@ Two headline gates (the PR acceptance bar, run by the CI
 
 * 4 shard workers sweep the 1M-device fleet at least **3x** faster
   than the single process;
-* the columnar delta encoding moves at least **5x** fewer bytes over
-  the worker pipes than the row-tuple wire format it replaces (the
-  pre-delta PR 7 encoding, still selectable as
-  ``ShardConfig(wire_format="rows")``).
+* the delta wire protocol moves at least **5x** fewer bytes over the
+  worker pipes than the row-tuple wire format it replaced.  The runtime
+  no longer ships row tuples; :class:`RowsWireBaseline` re-encodes each
+  delta poll the way the row-tuple format sent it, so the baseline is
+  the bytes that format would have moved on the same run.
 
-Published context values must be identical across every mode — the
-wire format is an encoding, never a semantics change.
+Published context values must be identical between the sharded and the
+single-process runs — sharding changes where sweeps run, never what
+they publish.
 """
 
 import json
 import os
+import pickle
 import time
 
 from repro.api import ShardConfig, ShardedRuntime
-from repro.runtime.shard import FleetScaleBootstrap
+from repro.simulation.fleet import FleetScaleBootstrap
 
 DEVICES = 1_000_000
 SERVICE_TIME = 50e-6  # modeled gateway time per device read
@@ -44,6 +47,74 @@ BYTE_SWEEPS = 4
 MIN_SPEEDUP_AT_4 = 3.0
 MIN_BYTE_CUT = 5.0
 ARTIFACT = os.environ.get("FLEET_SCALE_JSON")
+
+
+class RowsWireBaseline:
+    """Bytes the retired row-tuple wire format would have moved.
+
+    Watches every poll the router broadcasts and, once the coordinator
+    has merged the replies, encodes the same sweep as the row-tuple
+    format sent it: the command ``("poll", (target, name, index,
+    "rows", False), ())`` (the fleet runs without a read cache, so no
+    invalidations ride along) and, per shard, the reply ``("ok",
+    {"dropped", "failed", "events", "kind", "data"})`` with one
+    ``(position, key, value)`` tuple per reading, positions ascending,
+    read from the coordinator's mirror.  :meth:`rows_bytes` is the
+    measured wire bytes plus the difference between those messages and
+    the delta messages actually sent.  Grouped gathers only — the
+    fleet-scale design has no other kind.
+    """
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+        self.extra = 0
+        self._poll = None
+        router = runtime.router
+        broadcast = router.broadcast
+        merge = runtime._merge_delta
+
+        def watched_broadcast(op, args=()):
+            before = router._wire_bytes
+            replies = broadcast(op, args)
+            if op == "poll":
+                self._poll = (args, router._wire_bytes - before)
+            return replies
+
+        def watched_merge(kind, name, index, polls, placement):
+            payload = merge(kind, name, index, polls, placement)
+            self._account(kind, name, index, polls)
+            return payload
+
+        router.broadcast = watched_broadcast
+        runtime._merge_delta = watched_merge
+
+    def _account(self, kind, name, index, polls):
+        if kind != "grouped":
+            raise ValueError(f"no row-tuple encoding for {kind} gathers")
+        (target, *__), delta_bytes = self._poll
+        mirror = self.runtime._mirrors[(name, index)]
+        command = ("poll", (target, name, index, "rows", False), ())
+        rows_bytes = 0
+        for shard, reply in enumerate(polls):
+            data = [
+                (position, mirror.keys[position], mirror.values[position])
+                for position in sorted(mirror.shard_positions[shard])
+            ]
+            rows_reply = {
+                "dropped": reply["dropped"],
+                "failed": reply["failed"],
+                "events": reply["events"],
+                "kind": kind,
+                "data": data,
+            }
+            rows_bytes += len(pickle.dumps(command, pickle.HIGHEST_PROTOCOL))
+            rows_bytes += len(
+                pickle.dumps(("ok", rows_reply), pickle.HIGHEST_PROTOCOL)
+            )
+        self.extra += rows_bytes - delta_bytes
+
+    def rows_bytes(self) -> int:
+        return self.runtime.stats()["router"]["wire_bytes"] + self.extra
 
 
 def _runtime(shard, service_time):
@@ -93,26 +164,20 @@ def timed_sharded(workers):
         runtime.stop()
 
 
-def wire_bytes(wire_format, delta_sync):
+def wire_bytes():
     """Bytes over the worker pipes for BYTE_SWEEPS sweeps at zero
-    service time (byte counts are independent of modeled latency)."""
-    runtime, published = _runtime(
-        ShardConfig(
-            enabled=True,
-            workers=4,
-            wire_format=wire_format,
-            delta_sync=delta_sync,
-        ),
-        0.0,
-    )
+    service time (byte counts are independent of modeled latency),
+    with the row-tuple baseline for the same sweeps."""
+    runtime, __ = _runtime(ShardConfig(enabled=True, workers=4), 0.0)
+    baseline = RowsWireBaseline(runtime)
     try:
         runtime.advance(BYTE_SWEEPS * PERIOD)
         stats = runtime.stats()
         return {
             "bytes": stats["router"]["wire_bytes"],
+            "rows_bytes": baseline.rows_bytes(),
             "delta_rows": stats["delta_rows"],
             "quiescent_rows": stats["quiescent_rows"],
-            "published": published,
         }
     finally:
         runtime.stop()
@@ -120,10 +185,8 @@ def wire_bytes(wire_format, delta_sync):
 
 def test_fleet_scale_delta_wire_path(table, benchmark):
     def run_series():
-        rows = wire_bytes("rows", False)
-        delta = wire_bytes("columnar", True)
-        assert delta["published"] == rows["published"]
-        byte_cut = rows["bytes"] / delta["bytes"]
+        delta = wire_bytes()
+        byte_cut = delta["rows_bytes"] / delta["bytes"]
 
         serial_s, serial_values = timed_serial()
         sharded_s, sharded_values = timed_sharded(4)
@@ -133,7 +196,7 @@ def test_fleet_scale_delta_wire_path(table, benchmark):
             "serial_s": serial_s,
             "sharded_s": sharded_s,
             "speedup": speedup,
-            "rows_bytes": rows["bytes"],
+            "rows_bytes": delta["rows_bytes"],
             "delta_bytes": delta["bytes"],
             "byte_cut": byte_cut,
             "delta_rows": delta["delta_rows"],

@@ -312,16 +312,18 @@ def measure_fleet() -> dict:
     """The fleet-scale wire path, scaled to 100k devices.
 
     A scaled-down sibling of ``bench_fleet_scale.py`` (the 1M run
-    lives in the CI ``fleet-smoke`` job).  Shard assignment is stable
-    crc32 and the activity signal is deterministic in the seed, so the
-    pickled byte counts, delta-row and quiescent-row counts gate
-    exactly; only the 4-worker wall-time speedup is machine-dependent
-    and gates as a ratio.
+    lives in the CI ``fleet-smoke`` job), sharing its row-tuple byte
+    baseline.  Shard assignment is stable crc32 and the activity signal
+    is deterministic in the seed, so the pickled byte counts, delta-row
+    and quiescent-row counts gate exactly; only the 4-worker wall-time
+    speedup is machine-dependent and gates as a ratio.
     """
     import time as _time
 
+    from bench_fleet_scale import RowsWireBaseline
+
     from repro.api import ShardConfig, ShardedRuntime
-    from repro.runtime.shard import FleetScaleBootstrap
+    from repro.simulation.fleet import FleetScaleBootstrap
 
     devices = 100_000
     service_time = 50e-6
@@ -343,31 +345,17 @@ def measure_fleet() -> dict:
         )
         return runtime.start(), published
 
-    def wire_run(wire, delta):
-        runtime, published = runtime_for(
-            ShardConfig(
-                enabled=True, workers=4, wire_format=wire, delta_sync=delta
-            ),
-            0.0,
-        )
-        try:
-            runtime.advance(sweeps * 60.0)
-            stats = runtime.stats()
-            return (
-                stats["router"]["wire_bytes"],
-                stats["delta_rows"],
-                stats["quiescent_rows"],
-                published,
-            )
-        finally:
-            runtime.stop()
-
-    rows_bytes, __, __ignored, rows_published = wire_run("rows", False)
-    delta_bytes, delta_rows, quiescent_rows, delta_published = wire_run(
-        "columnar", True
-    )
-    if delta_published != rows_published:
-        raise AssertionError("delta deliveries diverged from rows wire")
+    runtime, __ = runtime_for(ShardConfig(enabled=True, workers=4), 0.0)
+    baseline = RowsWireBaseline(runtime)
+    try:
+        runtime.advance(sweeps * 60.0)
+        stats = runtime.stats()
+        delta_bytes = stats["router"]["wire_bytes"]
+        rows_bytes = baseline.rows_bytes()
+        delta_rows = stats["delta_rows"]
+        quiescent_rows = stats["quiescent_rows"]
+    finally:
+        runtime.stop()
 
     runtime, serial_published = runtime_for(
         ShardConfig(enabled=False), service_time

@@ -202,21 +202,15 @@ class Application:
             else None
         )
         # Batch hot path (repro.runtime.plan): columnar driver reads
-        # during sweeps and precompiled publish/grouping dispatch.  All
-        # three handles are inert by default — with
-        # ``BatchConfig(enabled=False)`` the scalar read path and the
-        # per-publish topic walk below stay byte-identical.
-        self._columnar_reads = (
-            config.batch.enabled and config.batch.columnar_reads
-        )
-        self._columnar_windows = (
-            config.batch.enabled and config.batch.columnar_windows
-        )
+        # and window folds during sweeps and precompiled
+        # publish/grouping dispatch.  All of it is inert by default —
+        # with ``BatchConfig(enabled=False)`` the scalar read path and
+        # the per-publish topic walk below stay byte-identical.
         self.planner: Optional[DeliveryPlanner] = (
             DeliveryPlanner(
                 design, self.bus, self.registry, metrics=self.metrics
             )
-            if config.batch.enabled and config.batch.compile_plans
+            if config.batch.enabled
             else None
         )
         # Persistent (shard, batch_key) cohort plans for the columnar
@@ -503,7 +497,6 @@ class Application:
             "stale",
             "error_policy",
             "tuning",
-            "shard",
         }
     )
 
@@ -518,12 +511,10 @@ class Application:
 
         Live sections: ``sweep`` (mode/workers/batch size/shard
         attribute), ``cache`` (TTLs, coalescing, invalidation scope —
-        but not ``enabled``), ``batch`` (``min_column`` and
-        ``columnar_reads`` only), ``supervision`` policies and
-        overrides (retuned across every live breaker),``stale``,
-        ``error_policy``, ``tuning`` itself and ``shard``
-        (``wire_format`` and ``delta_sync`` only — the worker gang is
-        structural).  Changing any structural field raises
+        but not ``enabled``), ``batch`` (``min_column`` only),
+        ``supervision`` policies and overrides (retuned across every
+        live breaker), ``stale``, ``error_policy`` and ``tuning``
+        itself.  Changing any structural field raises
         :class:`~repro.errors.TuningError`.
         """
         old = self.config
@@ -541,25 +532,14 @@ class Application:
             raise TuningError(
                 "the read cache cannot be enabled or disabled live"
             )
-        if old.batch.replace(
-            min_column=config.batch.min_column,
-            columnar_reads=config.batch.columnar_reads,
-        ) != config.batch:
+        live_batch = old.batch.replace(min_column=config.batch.min_column)
+        if live_batch != config.batch:
             raise TuningError(
-                "only batch.min_column and batch.columnar_reads may "
-                "change on a running application"
+                "only batch.min_column may change on a running application"
             )
         if old.supervised() != config.supervised():
             raise TuningError(
                 "supervision cannot be enabled or disabled live"
-            )
-        if old.shard.replace(
-            wire_format=config.shard.wire_format,
-            delta_sync=config.shard.delta_sync,
-        ) != config.shard:
-            raise TuningError(
-                "only shard.wire_format and shard.delta_sync may "
-                "change on a running application"
             )
         self.config = config
         self.error_policy = config.error_policy
@@ -572,9 +552,6 @@ class Application:
         )
         self.supervision.reconfigure(
             config.supervision, config.supervision_overrides
-        )
-        self._columnar_reads = (
-            config.batch.enabled and config.batch.columnar_reads
         )
 
     # ------------------------------------------------------------------
@@ -829,7 +806,7 @@ class Application:
                     interaction.period.seconds,
                     group.window.seconds,
                     implementation,
-                    columnar=self._columnar_windows,
+                    columnar=self.config.batch.enabled,
                 )
             else:
                 accumulator = WindowAccumulator.for_design(
@@ -1063,7 +1040,7 @@ class Application:
                     interaction.source,
                     sampler,
                 )
-                if self._columnar_reads
+                if self.config.batch.enabled
                 else None
             ),
         )

@@ -110,9 +110,8 @@ class RuntimeConfig(ConfigBase):
       to the unbatched runtime.
     * ``shard`` — :class:`~repro.runtime.shard.ShardConfig` governing
       the process-sharded runtime (hash-partitioned fleet, one worker
-      process per shard, cross-shard event routing, and the coordinator
-      wire protocol: ``wire_format``, ``delta_sync`` and
-      ``local_cache``); disabled by default, which keeps the runtime
+      process per shard, cross-shard event routing over the delta wire
+      protocol); disabled by default, which keeps the runtime
       single-process and byte-identical to the unsharded code path.
     * ``placement`` — :class:`~repro.runtime.placement.PlacementConfig`
       governing the edge/cloud placement tier (edge-local map+combine

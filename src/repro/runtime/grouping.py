@@ -242,7 +242,7 @@ class WindowAccumulator(Instrumented):
         ``job`` is any MapReduce implementation (a context declaring
         ``with map ... reduce ...``); its ``combine`` hook is preferred,
         its ``reduce`` phase is the fallback.  With ``columnar=True``
-        (the BatchConfig ``columnar_windows`` path), flattened columns
+        (the ``BatchConfig(enabled=True)`` path), flattened columns
         fold through one phase call per delivery instead of one per
         value — identical results for the associative phases this mode
         already requires.

@@ -57,32 +57,24 @@ BATCH_COLUMN_BUCKETS = (2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384)
 class BatchConfig(ConfigBase):
     """The sweep/publish hot path: columnar reads + compiled dispatch.
 
-    * ``enabled`` — master switch; ``False`` (default) keeps both the
+    * ``enabled`` — the one switch; ``False`` (default) keeps both the
       per-device scalar read path and the per-publish topic resolution
-      byte-identical to the unbatched runtime.
-    * ``columnar_reads`` — issue one driver-level
-      :meth:`~repro.runtime.device.DeviceDriver.read_batch` per
-      (shard, source) cohort during periodic sweeps instead of one
-      Python read per device; entities that cannot batch (no driver
-      support, degraded/quarantined health, failed flag) are demoted to
-      the scalar path with full supervision accounting.
+      byte-identical to the unbatched runtime.  ``True`` issues one
+      driver-level :meth:`~repro.runtime.device.DeviceDriver.read_batch`
+      per (shard, source) cohort during periodic sweeps (entities that
+      cannot batch demote to the scalar path with full supervision
+      accounting), precompiles publish fan-out and grouping membership
+      into :class:`DeliveryPlanner` tables, and folds a whole column of
+      window values per group through the job's combine/reduce in one
+      call (incremental accumulators only).
     * ``min_column`` — smallest cohort worth a batch read; smaller
       cohorts take the scalar path (a column of one would only add
-      overhead).
-    * ``compile_plans`` — precompile the publish→subscription fan-out
-      into :class:`SourcePlan` dispatch tables and gather grouping
-      membership into per-type tables (see :class:`DeliveryPlanner`).
-    * ``columnar_windows`` — fold a whole column of window values per
-      group through the job's combine/reduce in one call instead of
-      item-by-item (incremental accumulators only; requires the same
-      associativity the streaming fast path already demands).
+      overhead).  The only field ``Application.apply_config`` may
+      change on a running application.
     """
 
     enabled: bool = False
-    columnar_reads: bool = True
     min_column: int = 2
-    compile_plans: bool = True
-    columnar_windows: bool = True
 
     def __post_init__(self):
         if self.min_column < 1:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import pickle
-import weakref
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -86,17 +85,14 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.app import Application
 
 __all__ = [
-    "FleetScaleBootstrap",
     "ShardBootstrap",
     "ShardConfig",
     "ShardContext",
     "ShardRouter",
     "ShardedRuntime",
-    "SimulatedFleetBootstrap",
 ]
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
-_WIRE_FORMATS = ("rows", "columnar")
 
 
 @dataclass(frozen=True)
@@ -112,30 +108,15 @@ class ShardConfig(ConfigBase):
     * ``start_method`` — ``multiprocessing`` start method; ``None``
       uses the platform default (``fork`` on POSIX).  ``spawn`` and
       ``forkserver`` require a picklable, importable bootstrap.
-    * ``wire_format`` — how poll replies cross the worker pipes.
-      ``"columnar"`` (default) ships per-attribute columns (tuples of
-      arrays); ``"rows"`` ships one tuple per reading — the pre-delta
-      wire format, kept as the comparison baseline.
-    * ``delta_sync`` — with the columnar format, ship only changed or
-      newly registered readings per sweep plus a quiescent count; the
-      coordinator reconstructs the full payload from its
-      registration-order mirror.  Live-tunable
-      (``Application.apply_config``).
-    * ``local_cache`` — give each worker its shard-local
-      :class:`~repro.runtime.cache.ReadCache` (when the cache section
-      is enabled), fed by the worker's own clock replica and kept
-      honest by coordinator-routed invalidations piggybacked on the
-      next command.  ``False`` strips the cache from workers — an
-      ablation/ops escape hatch that is *not* identity-preserving
-      when caching is on.
+
+    The whole section is structural: the worker gang is fixed for the
+    life of the runtime, so ``Application.apply_config`` refuses any
+    change to it.
     """
 
     enabled: bool = False
     workers: int = 4
     start_method: Optional[str] = None
-    wire_format: str = "columnar"
-    delta_sync: bool = True
-    local_cache: bool = True
 
     def __post_init__(self):
         if self.workers < 1:
@@ -144,12 +125,6 @@ class ShardConfig(ConfigBase):
             raise ValueError(
                 f"start_method must be one of {_START_METHODS[1:]} or None"
             )
-        if self.wire_format not in _WIRE_FORMATS:
-            raise ValueError(f"wire_format must be one of {_WIRE_FORMATS}")
-        # Integer knob values (the tuning controller moves delta_sync
-        # as a 0/1 knob) normalize to bools so config equality works.
-        object.__setattr__(self, "delta_sync", bool(self.delta_sync))
-        object.__setattr__(self, "local_cache", bool(self.local_cache))
 
 
 @dataclass(frozen=True)
@@ -409,17 +384,6 @@ class _ShardWorker:
                 "worker applications must run on a SimulationClock",
                 shard=ctx.index,
             )
-        if (
-            not self.app.config.shard.local_cache
-            and self.app.read_cache is not None
-        ):
-            # local_cache=False strips the shard-local read cache: the
-            # worker then reads through to its drivers on every sweep
-            # (an ablation knob — not identity-preserving vs the
-            # single-process cached run).
-            self.app.read_cache = None
-            for instance in self.app.registry:
-                instance.attach_cache(None)
         self.clock: SimulationClock = self.app.clock
         # entity id -> global registration position, derived from the
         # full-fleet enumeration so every shard agrees on merge order.
@@ -489,12 +453,7 @@ class _ShardWorker:
         return {"events": self._drain_events()}
 
     def _cmd_poll(
-        self,
-        target: float,
-        name: str,
-        index: int,
-        wire: str = "rows",
-        delta: bool = False,
+        self, target: float, name: str, index: int
     ) -> Dict[str, Any]:
         """Sweep this shard for one periodic gather.
 
@@ -506,15 +465,11 @@ class _ShardWorker:
         MapReduce gathers — only ``{group: min gpos}`` crosses the pipe
         until the map round.
 
-        ``wire`` picks the reply encoding for flat and grouped gathers
-        (``"rows"`` — one tuple per reading, the pre-delta format — or
-        ``"columnar"`` — per-attribute columns), and ``delta`` layers
-        the delta protocol on columnar replies: identity columns ship
-        once per registration epoch (``register``), values ship only
-        when they differ from the last shipped value (``changed``),
-        vanished positions retract, and everything else is a
-        ``quiescent`` count.  MapReduce gathers already ship one
-        combined partial per key, so they ignore both switches.
+        Flat and grouped gathers reply in the delta protocol (see
+        :meth:`_encode_delta`): identity columns ship once per
+        registration epoch, values ship only when they differ from the
+        last shipped value, vanished positions retract, and everything
+        else is a ``quiescent`` count.
         """
         self.clock.run_until(target)
         app = self.app
@@ -528,7 +483,7 @@ class _ShardWorker:
             functools.partial(app._gather_read, source, sampler),
             read_column=(
                 functools.partial(app._gather_read_column, source, sampler)
-                if app._columnar_reads
+                if app.config.batch.enabled
                 else None
             ),
         )
@@ -560,14 +515,6 @@ class _ShardWorker:
             return reply
         kind = "flat" if group is None else "grouped"
         reply["kind"] = kind
-        if wire != "columnar":
-            self._sync.pop((name, index), None)
-            self._encode_rows(reply, kind, readings, group, gpos)
-            return reply
-        if not delta:
-            self._sync.pop((name, index), None)
-            self._encode_columns(reply, kind, readings, group, gpos)
-            return reply
         try:
             self._encode_delta(reply, kind, readings, group, gpos, name, index)
         except Exception:
@@ -587,50 +534,10 @@ class _ShardWorker:
                 f"'{group.attribute}' to group by"
             ) from None
 
-    def _encode_rows(self, reply, kind, readings, group, gpos) -> None:
-        """The pre-delta wire format: one tuple per reading."""
-        if kind == "flat":
-            reply["data"] = [
-                (
-                    gpos[instance.entity_id],
-                    instance.info.name,
-                    instance.entity_id,
-                    dict(instance.attributes),
-                    value,
-                )
-                for instance, value in readings
-            ]
-            return
-        reply["data"] = [
-            (
-                gpos[instance.entity_id],
-                self._group_key(instance, group),
-                value,
-            )
-            for instance, value in readings
-        ]
-
-    def _encode_columns(self, reply, kind, readings, group, gpos) -> None:
-        """Stateless columnar encoding: per-attribute columns (tuples
-        of arrays) instead of per-row tuples, full payload per sweep."""
-        positions = [gpos[i.entity_id] for i, __ in readings]
-        values = [value for __, value in readings]
-        if kind == "flat":
-            reply["columns"] = (
-                positions,
-                [i.info.name for i, __ in readings],
-                [i.entity_id for i, __ in readings],
-                [dict(i.attributes) for i, __ in readings],
-                values,
-            )
-            return
-        keys = [self._group_key(i, group) for i, __ in readings]
-        reply["columns"] = (positions, keys, values)
-
     def _encode_delta(
         self, reply, kind, readings, group, gpos, name, index
     ) -> None:
-        """Delta-sync columnar encoding.
+        """The delta wire protocol.
 
         Reply blocks (all optional, all columnar, positions always
         gap-encoded via :func:`_pack_positions`):
@@ -1284,6 +1191,13 @@ class ShardedRuntime(Instrumented):
             "wire protocol (quiescent readings cross as one count).",
         ),
         MetricSpec(
+            "shard_quiescent_rows_total",
+            "_quiescent_rows",
+            stats_key="quiescent_rows",
+            help="Readings unchanged since the last sweep, which cross "
+            "the worker pipes only as a per-shard count.",
+        ),
+        MetricSpec(
             "shard_workers",
             "_worker_count",
             kind="gauge",
@@ -1326,7 +1240,7 @@ class ShardedRuntime(Instrumented):
         self._worker_count = 0
         self._started = False
         # Delta-sync mirrors per (context name, interaction index);
-        # populated lazily on the first delta-encoded poll.
+        # populated lazily on the first poll.
         self._mirrors: Dict[Tuple[str, int], Any] = {}
         # Next global registration position handed to a dynamic
         # rebind — the static fleet occupies [0, len(fleet)).
@@ -1591,16 +1505,7 @@ class ShardedRuntime(Instrumented):
         app = self.app
         name, index = self._interactions[id(interaction)]
         self._sweeps += 1
-        target = app.clock.now()
-        # The wire settings are read per sweep from the application's
-        # live config — the tuning controller (or apply_config) can
-        # flip delta_sync/wire_format between sweeps.
-        shard_config = app.config.shard
-        wire = shard_config.wire_format
-        delta = shard_config.delta_sync and wire == "columnar"
-        polls = self.router.broadcast(
-            "poll", (target, name, index, wire, delta)
-        )
+        polls = self.router.broadcast("poll", (app.clock.now(), name, index))
         app._gather_network_dropped += sum(r["dropped"] for r in polls)
         app._gather_read_failed += sum(r["failed"] for r in polls)
         for reply in polls:
@@ -1608,38 +1513,7 @@ class ShardedRuntime(Instrumented):
         kind = polls[0]["kind"]
         placement = app.placement
         if kind != "mapreduce":
-            if delta:
-                return self._merge_delta(kind, name, index, polls, placement)
-            # A stale mirror must not survive a live delta->full flip:
-            # the next delta epoch starts from a worker reset anyway.
-            self._mirrors.pop((name, index), None)
-            if wire == "columnar":
-                rows = [
-                    row
-                    for reply in polls
-                    for row in zip(*reply["columns"])
-                ]
-            else:
-                rows = [row for reply in polls for row in reply["data"]]
-            rows.sort(key=lambda row: row[0])
-            if kind == "flat":
-                if placement is not None:
-                    # Shards are cloud-side for ungrouped gathers:
-                    # every raw reading crossed the continuum.
-                    placement.account_cloud([(None, row[4]) for row in rows])
-                return [
-                    GatherReading(
-                        self._proxy_for(type_name, entity_id, attributes),
-                        value,
-                    )
-                    for __, type_name, entity_id, attributes, value in rows
-                ]
-            if placement is not None:
-                placement.account_cloud([(None, row[2]) for row in rows])
-            grouped: Dict[Any, List[Any]] = {}
-            for __, key, value in rows:
-                grouped.setdefault(key, []).append(value)
-            return grouped
+            return self._merge_delta(kind, name, index, polls, placement)
         # MapReduce: rank groups by their first surviving reading
         # across the whole fleet, then let each worker map+combine its
         # slice in that global order.
@@ -1701,223 +1575,4 @@ class ShardedRuntime(Instrumented):
         ]
 
     def _extra_stats(self) -> Dict[str, Any]:
-        return {
-            "router": self.router.stats(),
-            "quiescent_rows": self._quiescent_rows,
-        }
-
-
-# ----------------------------------------------------------------------
-# A spawn-safe simulated fleet (benchmarks, smoke tests, examples)
-# ----------------------------------------------------------------------
-
-
-_FLEET_DESIGN = """\
-device ShardSensor {
-    attribute zone as ZoneEnum;
-    source level as Integer;
-}
-enumeration ZoneEnum { Z0, Z1, Z2, Z3 }
-
-context ZoneLoad as Integer {
-    when periodic level from ShardSensor <1 min>
-    grouped by zone
-    with map as Integer reduce as Integer
-    always publish;
-}
-"""
-
-_ZONES = ("Z0", "Z1", "Z2", "Z3")
-
-# app -> the GatewaySubstrate its bootstrap built, so bind_entity can
-# attach late entities to the same per-process substrate without
-# stashing live (unpicklable) objects on the frozen bootstrap record.
-_FLEET_SUBSTRATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-class _ZoneLoadJob:
-    """Associative sum-per-zone MapReduce (exact under sharding).
-
-    The combiner keeps the cross-process shuffle O(zones): each worker
-    ships one partial sum per zone instead of one pair per device."""
-
-    def map(self, zone, level, collector):
-        collector.emit_map(zone, level)
-
-    def combine(self, zone, values, collector):
-        collector.emit_combine(zone, sum(values))
-
-    def reduce(self, zone, values, collector):
-        collector.emit_reduce(zone, sum(values))
-
-
-def _level_model(draw: float) -> int:
-    return int(draw * 100.0)
-
-
-@dataclass(frozen=True)
-class SimulatedFleetBootstrap(ShardBootstrap):
-    """A ready-made picklable bootstrap over a simulated sensor fleet.
-
-    Builds a ``count``-device fleet of ``ShardSensor`` entities (zoned
-    round-robin) over one :class:`~repro.simulation.sensors.
-    GatewaySubstrate` per process, with a periodic grouped-MapReduce
-    ``ZoneLoad`` context.  ``service_time`` models per-device gateway
-    read latency — the quantity the shard-scaling benchmark overlaps
-    across worker processes.  Module-level and frozen, so it survives
-    ``spawn`` pickling; the shard-scaling benchmark and the spawn smoke
-    test both build from it.
-    """
-
-    count: int = 1000
-    seed: int = 0
-    service_time: float = 0.0
-    shard: Optional[ShardConfig] = None
-    batch: bool = False
-    cache: bool = False
-
-    def fleet(self) -> Sequence[str]:
-        return [f"shard-sensor-{index:06d}" for index in range(self.count)]
-
-    def build(self, ctx: ShardContext) -> "Application":
-        from repro.api import Application, RuntimeConfig, analyze
-        from repro.runtime.cache import CacheConfig
-        from repro.runtime.component import Context
-        from repro.runtime.plan import BatchConfig
-        from repro.simulation.sensors import GatewaySubstrate
-
-        class ZoneLoadImpl(Context, _ZoneLoadJob):
-            def on_periodic_level(self, by_zone, discover):
-                return sum(by_zone.values())
-
-        config = RuntimeConfig(
-            shard=self.shard if self.shard is not None else ShardConfig(),
-            batch=BatchConfig(enabled=self.batch),
-            cache=CacheConfig(enabled=self.cache),
-        )
-        app = Application(analyze(_FLEET_DESIGN), config)
-        app.implement("ZoneLoad", ZoneLoadImpl())
-        substrate = GatewaySubstrate(
-            app.clock,
-            seed=self.seed,
-            models={"level": _level_model},
-            service_time=self.service_time,
-        )
-        _FLEET_SUBSTRATES[app] = substrate
-        for position, entity_id in enumerate(self.fleet()):
-            if ctx.owns(entity_id):
-                app.create_device(
-                    "ShardSensor",
-                    entity_id,
-                    substrate.driver("level"),
-                    zone=_ZONES[position % len(_ZONES)],
-                )
-        return app
-
-    def bind_entity(
-        self, app: "Application", entity_id: str, position: int
-    ) -> None:
-        substrate = _FLEET_SUBSTRATES[app]
-        app.create_device(
-            "ShardSensor",
-            entity_id,
-            substrate.driver("level"),
-            zone=_ZONES[position % len(_ZONES)],
-        )
-
-
-# ----------------------------------------------------------------------
-# The fleet-scale benchmark bootstrap (million-device hot path)
-# ----------------------------------------------------------------------
-
-
-_FLEET_SCALE_DESIGN = """\
-device FleetSensor {
-    attribute zone as FleetZone;
-    source level as Integer;
-}
-enumeration FleetZone { Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7 }
-
-context ZoneLevels as Integer {
-    when periodic level from FleetSensor <1 min>
-    grouped by zone
-    always publish;
-}
-"""
-
-_FLEET_SCALE_ZONES = ("Z0", "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7")
-
-
-def _make_activity_model(activity: float):
-    def model(draw: float) -> int:
-        return 1 if draw < activity else 0
-
-    return model
-
-
-@dataclass(frozen=True)
-class FleetScaleBootstrap(ShardBootstrap):
-    """The million-device benchmark fleet: a plain grouped gather over
-    a mostly-quiescent activity signal.
-
-    Each ``FleetSensor`` reports a 0/1 ``level`` (active with
-    probability ``activity`` per tick, deterministic in ``(seed,
-    entity, time)``), grouped by one of eight zones — the payload shape
-    where the delta wire protocol pays: between sweeps only the ~2 ·
-    ``activity`` fraction of devices that flipped cross the pipe, the
-    rest collapse into the quiescent count, and the columnar batch path
-    plus memoized cohort plans keep the worker-side sweep cost flat.
-    ``service_time`` models per-device gateway read latency — the
-    quantity sharding overlaps across worker processes.  Frozen and
-    module-level, so it survives ``spawn`` pickling.
-    """
-
-    count: int = 10_000
-    seed: int = 0
-    service_time: float = 0.0
-    activity: float = 0.02
-    shard: Optional[ShardConfig] = None
-
-    def fleet(self) -> Sequence[str]:
-        return [f"fleet-sensor-{index:07d}" for index in range(self.count)]
-
-    def _create(self, app, substrate, entity_id: str, position: int) -> None:
-        app.create_device(
-            "FleetSensor",
-            entity_id,
-            substrate.driver("level"),
-            zone=_FLEET_SCALE_ZONES[position % len(_FLEET_SCALE_ZONES)],
-        )
-
-    def build(self, ctx: ShardContext) -> "Application":
-        from repro.api import Application, RuntimeConfig, analyze
-        from repro.runtime.component import Context
-        from repro.runtime.plan import BatchConfig
-        from repro.simulation.sensors import GatewaySubstrate
-
-        class ZoneLevelsImpl(Context):
-            def on_periodic_level(self, by_zone, discover):
-                return sum(sum(levels) for levels in by_zone.values())
-
-        config = RuntimeConfig(
-            shard=self.shard if self.shard is not None else ShardConfig(),
-            batch=BatchConfig(enabled=True),
-        )
-        app = Application(analyze(_FLEET_SCALE_DESIGN), config)
-        app.implement("ZoneLevels", ZoneLevelsImpl())
-        substrate = GatewaySubstrate(
-            app.clock,
-            seed=self.seed,
-            models={"level": _make_activity_model(self.activity)},
-            service_time=self.service_time,
-        )
-        _FLEET_SUBSTRATES[app] = substrate
-        for position, entity_id in enumerate(self.fleet()):
-            if ctx.owns(entity_id):
-                self._create(app, substrate, entity_id, position)
-        return app
-
-    def bind_entity(
-        self, app: "Application", entity_id: str, position: int
-    ) -> None:
-        self._create(app, _FLEET_SUBSTRATES[app], entity_id, position)
+        return {"router": self.router.stats()}

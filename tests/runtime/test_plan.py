@@ -1,6 +1,6 @@
 """Precompiled delivery plans: dispatch identity, invalidation, memos.
 
-Plans must be an invisible optimization: with ``compile_plans`` on, the
+Plans must be an invisible optimization: with the batch path on, the
 exact same subscribers receive the exact same events (including the
 taxonomy rule — subtype publishes reaching supertype subscriptions) and
 the bus counters advance identically; a subscription or binding change
@@ -165,10 +165,6 @@ class TestCompiledDispatch:
     def test_disabled_plans_leave_planner_unset(self):
         app, __, __unused = build_app(batch=BatchConfig(enabled=False))
         assert app.planner is None
-        app2, __, __unused2 = build_app(
-            batch=BatchConfig(enabled=True, compile_plans=False)
-        )
-        assert app2.planner is None
 
 
 class TestTopicMemo:

@@ -178,20 +178,6 @@ class TestKnobRegistry:
         assert "cache.ttl_seconds" in full
         assert "supervision.failure_threshold" in full
         assert "supervision.backoff_base_seconds" in full
-        assert "shard.delta_sync" not in full
-
-        from repro.runtime.shard import ShardConfig
-
-        sharded = KnobRegistry.for_config(
-            RuntimeConfig(shard=ShardConfig(enabled=True))
-        )
-        assert "shard.delta_sync" in sharded
-        flipped = sharded.with_value(
-            RuntimeConfig(shard=ShardConfig(enabled=True)),
-            "shard.delta_sync",
-            0,
-        )
-        assert flipped.shard.delta_sync is False
 
     def test_describe_carries_ranges_and_values(self):
         registry = KnobRegistry.for_config(RuntimeConfig())
@@ -371,6 +357,18 @@ class TestApplyConfig:
             app.apply_config(app.config.replace(name="other"))
         with pytest.raises(TuningError, match="structural"):
             app.apply_config(app.config.replace(streaming_windows=False))
+
+    def test_shard_section_is_structural(self):
+        from repro.runtime.shard import ShardConfig
+
+        app = make_app(shard=ShardConfig(enabled=True, workers=2))
+        for shard in (
+            ShardConfig(enabled=False),
+            ShardConfig(enabled=True, workers=3),
+            ShardConfig(enabled=True, workers=2, start_method="spawn"),
+        ):
+            with pytest.raises(TuningError, match="'shard' is structural"):
+                app.apply_config(app.config.replace(shard=shard))
 
     def test_cache_cannot_toggle_live(self):
         app = make_app()
