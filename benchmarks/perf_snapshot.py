@@ -20,8 +20,9 @@ against that run.  A snapshot only gates the sections it records
 (absent sections are skipped), so era-scoped snapshots compose —
 ``BENCH_006.json`` covers the batch/cache/plan sections,
 ``BENCH_007.json`` covers ``shard_scaling``, ``BENCH_008.json`` covers
-``placement``, ``BENCH_009.json`` covers ``tuning`` and
-``BENCH_010.json`` covers ``fleet``::
+``placement``, ``BENCH_009.json`` covers ``tuning``,
+``BENCH_010.json`` covers ``fleet`` and ``BENCH_013.json`` covers
+``fleet_cpu``::
 
     python benchmarks/perf_snapshot.py \\
         --check BENCH_006.json --check BENCH_007.json
@@ -393,6 +394,86 @@ def measure_fleet() -> dict:
     }
 
 
+def measure_fleet_cpu() -> dict:
+    """The zero-latency CPU cost of the column-at-a-time sweep.
+
+    ``FleetScaleBootstrap`` at 100k devices with no modeled service
+    time, so every measured second is Python the runtime controls.  The
+    single-process CPU microseconds per device per sweep and the
+    4-worker wall-time speedups are machine-dependent and informational
+    only: the zero-latency speedup is what the code controls, the
+    modeled-latency one (50 µs per read, as in the ``fleet`` section)
+    is reported next to it for comparison, measured the same way.  The
+    driver call count per sweep, the demoted row count and the
+    sharded-vs-single deliveries are structural and gate exactly.
+    """
+    import time as _time
+
+    from repro.api import ShardConfig, ShardedRuntime
+    from repro.simulation.fleet import FleetScaleBootstrap
+
+    devices = 100_000
+
+    def timed_run(shard, service_time, sweeps):
+        bootstrap = FleetScaleBootstrap(
+            count=devices, seed=11, service_time=service_time, shard=shard
+        )
+        runtime = ShardedRuntime(bootstrap)
+        published = []
+        runtime.app.bus.subscribe(
+            ("context", "ZoneLevels"),
+            lambda event: published.append((event.value, event.timestamp)),
+        )
+        runtime.start()
+        try:
+            # The first sweep compiles cohort plans and registers every
+            # reading; the timed sweeps are the steady state.
+            runtime.advance(60.0)
+            before = runtime.app.sweeper.stats()
+            cpu = _time.process_time()
+            wall = _time.perf_counter()
+            runtime.advance(sweeps * 60.0)
+            wall = _time.perf_counter() - wall
+            cpu = _time.process_time() - cpu
+            after = runtime.app.sweeper.stats()
+        finally:
+            runtime.stop()
+        counts = {
+            key: after[key] - before[key]
+            for key in ("batch_reads", "batch_demoted")
+        }
+        return wall, cpu, counts, published
+
+    single = ShardConfig(enabled=False)
+    sharded = ShardConfig(enabled=True, workers=4)
+    sweeps = 4
+    single_s, single_cpu, counts, single_out = timed_run(single, 0.0, sweeps)
+    sharded_s, __, __, sharded_out = timed_run(sharded, 0.0, sweeps)
+    # One timed sweep under modeled latency: 100k reads sleep 5 s
+    # single-process.
+    modeled_single_s, __, __, modeled_single_out = timed_run(
+        single, 50e-6, 1
+    )
+    modeled_sharded_s, __, __, modeled_sharded_out = timed_run(
+        sharded, 50e-6, 1
+    )
+    return {
+        "devices": devices,
+        "sweeps": sweeps,
+        "read_batch_per_sweep": counts["batch_reads"] // sweeps,
+        "demoted_rows": counts["batch_demoted"],
+        "deliveries_identical": sharded_out == single_out
+        and modeled_sharded_out == modeled_single_out,
+        "cpu_us_per_device_sweep": round(
+            single_cpu * 1e6 / (devices * sweeps), 2
+        ),
+        "speedup_zero_latency": round(single_s / sharded_s, 2),
+        "speedup_modeled_latency": round(
+            modeled_single_s / modeled_sharded_s, 2
+        ),
+    }
+
+
 SECTIONS = {
     "batch_read": measure_batch_read,
     "scale_10k": measure_scale_10k,
@@ -402,6 +483,7 @@ SECTIONS = {
     "placement": measure_placement,
     "tuning": measure_adaptive_tuning,
     "fleet": measure_fleet,
+    "fleet_cpu": measure_fleet_cpu,
 }
 
 
@@ -454,6 +536,13 @@ EXACT = {
         "byte_cut",
         "delta_rows",
         "quiescent_rows",
+    ),
+    "fleet_cpu": (
+        "devices",
+        "sweeps",
+        "read_batch_per_sweep",
+        "demoted_rows",
+        "deliveries_identical",
     ),
 }
 RATIOS = {

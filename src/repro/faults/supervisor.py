@@ -317,6 +317,21 @@ class SupervisionManager(Instrumented):
     def record_stale_serve(self) -> None:
         self._stale_serves += 1
 
+    def record_column_success(
+        self, supervisors, source: str, values
+    ) -> None:
+        """:meth:`DeviceSupervisor.record_success` for one batch column,
+        with one clock stamp for the whole column.
+
+        ``supervisors`` aligns with ``values``; ``None`` slots are
+        unsupervised entities and are skipped.
+        """
+        stamp = self.clock.now()
+        for supervisor, value in zip(supervisors, values):
+            if supervisor is not None:
+                supervisor._last_known[source] = (value, stamp)
+                supervisor.breaker.record_success()
+
     # -- aggregate views -------------------------------------------------------
 
     def _open_breaker_count(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     BindingError,
@@ -69,29 +69,18 @@ from repro.runtime.grouping import (
     group_readings_planned,
 )
 from repro.runtime.placement import PlacementExecutor
-from repro.runtime.plan import CohortPlanner, DeliveryPlanner
+from repro.runtime.plan import CohortPlanner, DeliveryPlanner, read_counters
 from repro.runtime.proxies import make_proxy
 from repro.simulation.network import TopologyModel
 from repro.runtime.qos import QoSMonitor
 from repro.runtime.registry import EntityRegistry
-from repro.runtime.sweep import SweepEngine
+from repro.runtime.sweep import DROPPED, ReadFault, SweepColumns, SweepEngine
 from repro.sema.analyzer import AnalyzedSpec
 from repro.telemetry import MetricsRegistry
-from repro.typesys.values import check_value, coerce_value
+from repro.typesys.values import check_value, coerce_column
 
 # Sentinel distinguishing "isolated component failed" from a None result.
 _FAILED = object()
-
-# Per-instance read outcomes produced inside a sweep and folded back on
-# the sweep-driving thread (worker threads never touch app counters).
-_READ_OK = "ok"
-_READ_DROPPED = "dropped"
-_READ_FAILED = "failed"
-
-# Placeholder marking a position demoted out of its batch cohort for
-# this sweep (failed flag, degraded health); the scalar fallback loop
-# overwrites it with the real (outcome, payload) pair.
-_DEMOTED = object()
 
 
 class Application:
@@ -1001,11 +990,16 @@ class Application:
             payload = accumulator.add(payload)
             if payload is None:
                 return
-        if self._memoize_contexts:
+        if (
+            self._memoize_contexts
+            and interaction.publish is not Publish.ALWAYS
+        ):
             # Context memoization: when the merged payload is
             # content-identical to the previous delivery, recompute and
             # republish would be byte-identical too — skip both and
-            # count a context cache hit.
+            # count a context cache hit.  Never for ``always publish``
+            # contexts: their declared discipline is one publication
+            # per activation, whatever the payload.
             digest = hash((name, repr(payload)))
             if self._gather_digests.get(name) == digest:
                 self._count_context_cache_hit(name)
@@ -1024,35 +1018,19 @@ class Application:
         """One sweep's pre-window payload: poll, fold, group, mapreduce.
 
         Split from :meth:`_gather` so a sharded runtime can substitute
-        collection (:meth:`attach_gather_delegate`) — running this exact
-        logic inside each worker process over its registry shard — while
-        windowing, payload memoization and delivery stay with the
+        collection (:meth:`attach_gather_delegate`) — each worker
+        process runs :meth:`_sweep_readings` over its registry shard —
+        while windowing, payload memoization and delivery stay with the
         caller."""
-        sampler = self._read_sampler(interaction)
-        outcomes = self.sweeper.sweep(
-            interaction.device,
-            functools.partial(
-                self._gather_read, interaction.source, sampler
-            ),
-            read_column=(
-                functools.partial(
-                    self._gather_read_column,
-                    interaction.source,
-                    sampler,
-                )
-                if self.config.batch.enabled
-                else None
-            ),
-        )
-        readings = self._fold_read_outcomes(outcomes, interaction.source)
+        instances, values = self._sweep_readings(interaction)
         group = interaction.group
         placement = self.placement
         if group is None:
             if placement is not None:
-                placement.account_cloud(readings)
+                placement.account_cloud(zip(instances, values))
             return [
                 GatherReading(make_proxy(instance), value)
-                for instance, value in readings
+                for instance, value in zip(instances, values)
             ]
         if placement is not None:
             if id(interaction) in self._edge_interactions:
@@ -1062,43 +1040,98 @@ class Application:
                 return placement.run_edge(
                     self.mapreduce,
                     implementation,
-                    readings,
+                    list(zip(instances, values)),
                     group.attribute,
                 )
-            placement.account_cloud(readings)
+            placement.account_cloud(zip(instances, values))
         if self.planner is not None:
             grouped = group_readings_planned(
-                readings,
+                zip(instances, values),
                 self.planner.membership(
                     interaction.device, group.attribute
                 ),
                 group.attribute,
             )
         else:
-            grouped = group_readings(readings, group.attribute)
+            grouped = group_readings(zip(instances, values), group.attribute)
         if group.uses_mapreduce:
             return self.mapreduce.run(implementation, grouped)
         return grouped
 
-    def _fold_read_outcomes(self, outcomes, source) -> List[Any]:
-        """Fold per-instance sweep outcomes into ``(instance, value)``
-        readings, bumping the drop/failure counters and applying the
-        stale policy — always on the sweep-driving thread."""
-        readings: List[Any] = []
-        for instance, (kind, value) in outcomes:
-            if kind is _READ_OK:
-                readings.append((instance, value))
-            elif kind is _READ_DROPPED:
+    def _sweep_readings(
+        self, interaction
+    ) -> Tuple[Sequence[DeviceInstance], Sequence[Any]]:
+        """Poll one periodic gather's devices and fold the outcomes:
+        the sweep's readings as aligned ``(instances, values)``
+        columns in registry order.
+
+        With the batch path on, the sweep engine reads each shard
+        through :meth:`_gather_read_column` and returns columns; the
+        scalar path's per-instance results are split into the same
+        columns, so one fold serves both."""
+        source = interaction.source
+        sampler = self._read_sampler(interaction)
+        if self.config.batch.enabled:
+            swept = self.sweeper.sweep(
+                interaction.device,
+                functools.partial(self._gather_read, source, None),
+                read_column=functools.partial(
+                    self._gather_read_column, source
+                ),
+                sampler=sampler,
+            )
+        else:
+            pairs = self.sweeper.sweep(
+                interaction.device,
+                functools.partial(self._gather_read, source, sampler),
+            )
+            instances = [instance for instance, __ in pairs]
+            values = [result for __, result in pairs]
+            swept = SweepColumns(
+                instances,
+                values,
+                {
+                    position: result
+                    for position, result in enumerate(values)
+                    if type(result) is ReadFault
+                },
+            )
+        return self._fold_read_outcomes(swept, source)
+
+    def _fold_read_outcomes(
+        self, swept: SweepColumns, source: str
+    ) -> Tuple[Sequence[DeviceInstance], Sequence[Any]]:
+        """Fold a sweep's faults into its columns, bumping the
+        drop/failure counters and applying the stale policy — always on
+        the sweep-driving thread.  A sweep without faults passes its
+        columns through untouched; otherwise the healthy runs between
+        faulted slots are copied in slices."""
+        instances, values, faults = swept
+        if not faults:
+            return instances, values
+        kept_instances: List[DeviceInstance] = []
+        kept_values: List[Any] = []
+        start = 0
+        for position in sorted(faults):
+            kept_instances.extend(instances[start:position])
+            kept_values.extend(values[start:position])
+            start = position + 1
+            fault = faults[position]
+            if fault is DROPPED:
                 self._gather_network_dropped += 1
-            else:
-                self._gather_read_failed += 1
-                if self.stale.mode == "fail":
-                    raise value
-                if self.stale.serves_stale:
-                    stale = self._stale_reading(instance, source)
-                    if stale is not None:
-                        readings.append((instance, stale[0]))
-        return readings
+                continue
+            self._gather_read_failed += 1
+            if self.stale.mode == "fail":
+                raise fault.error
+            if self.stale.serves_stale:
+                instance = instances[position]
+                stale = self._stale_reading(instance, source)
+                if stale is not None:
+                    kept_instances.append(instance)
+                    kept_values.append(stale[0])
+        kept_instances.extend(instances[start:])
+        kept_values.extend(values[start:])
+        return kept_instances, kept_values
 
     def _read_sampler(self, interaction) -> Optional[Callable[[], bool]]:
         """Zero-arg survival sampler for this gather's polled reads.
@@ -1128,123 +1161,151 @@ class Application:
     def _gather_read(self, source, sampler, instance):
         """Poll one instance inside a sweep (possibly on a pool thread).
 
-        Returns an ``(outcome, payload)`` pair instead of mutating
-        counters, so the sweep engine can run it concurrently and the
-        caller folds outcomes deterministically in registry order."""
+        Returns the reading, or a :class:`~repro.runtime.sweep.ReadFault`
+        instead of mutating counters, so the sweep engine can run it
+        concurrently and the caller folds outcomes deterministically in
+        registry order."""
         if sampler is not None and not sampler():
-            return (_READ_DROPPED, None)
+            return DROPPED
         try:
-            return (_READ_OK, instance.read(source))
+            return instance.read(source)
         except DeliveryError as exc:
-            return (_READ_FAILED, exc)
+            return ReadFault(exc)
 
-    def _gather_read_column(self, source, sampler, instances):
+    def _gather_read_column(self, source, instances, dropped):
         """Columnar shard read: cohorts, batch reads, scalar demotion.
 
-        Produces the same ``(outcome, payload)`` column the scalar path
-        would, one entry per instance in order.  Eligible entities —
-        healthy, not failed, not cache-fresh, with a driver that shares
-        a :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
+        Returns ``(values, faults)``: a value column aligned with
+        ``instances`` and a sparse ``{index: ReadFault}`` map, the
+        shard's share of :class:`~repro.runtime.sweep.SweepColumns`.
+        ``dropped`` lists the indexes the sweep's network sampler
+        already lost; they are not read.  Eligible entities — healthy,
+        not cache-fresh, with a driver that shares a
+        :meth:`~repro.runtime.device.DeviceDriver.batch_key` cohort of
         at least ``min_column`` — are read in one ``read_batch`` call
         per cohort; everything else **demotes to the scalar path**,
         where per-entity retries, breaker accounting and stale handling
         behave exactly as in an unbatched sweep.  A cohort whose batch
         read fails (or returns a mis-shaped column) demotes whole.
         """
-        results: List[Any] = [None] * len(instances)
-        demoted: List[int] = []
-        cache = self.read_cache
-        # Static partition — (shard, batch_key) cohorts and the
-        # no-batch-driver positions — comes from the memoized plan;
-        # only the per-sweep eligibility below stays dynamic.
+        # Static partition — (shard, batch_key) cohorts with their
+        # member columns, and the no-batch-driver positions — comes
+        # from the memoized plan; only the eligibility below is per
+        # sweep, and an all-healthy cohort skips it entirely.
         plan = self._cohort_planner.plan(source, instances)
-        for position, instance in enumerate(instances):
-            if sampler is not None and not sampler():
-                results[position] = (_READ_DROPPED, None)
-                continue
-            supervisor = instance.supervisor
-            if instance.failed or (
-                supervisor is not None and supervisor.health != HEALTHY
-            ):
-                # Degraded/quarantined entities keep their breaker
-                # probes and half-open recovery; a batch read would
-                # bypass both.
-                results[position] = _DEMOTED
-                demoted.append(position)
-                continue
-            if cache is not None:
-                hit = cache.lookup(instance.entity_id, source)
-                if hit is not None:
-                    results[position] = (_READ_OK, hit[0])
-        scalar = [
-            position
-            for position in plan.scalar
-            if results[position] is None
-        ]
-        scalar.extend(demoted)
+        values: List[Any] = [None] * len(instances)
+        faults: Dict[int, ReadFault] = {}
+        dropped = set(dropped)
+        scalar = [p for p in plan.scalar if p not in dropped]
+        cache = self.read_cache
         min_column = self.config.batch.min_column
-        for positions in plan.groups:
-            pending = [
-                position
-                for position in positions
-                if results[position] is None
-            ]
-            if not pending:
+        for cohort in plan.cohorts:
+            positions = cohort.positions
+            unfit = _unhealthy(cohort.supervisors)
+            # None: every member rides the column; else the member
+            # indexes left after drops, demotions and cache hits.
+            pending = None
+            if dropped or unfit or cache is not None:
+                pending = []
+                for index, position in enumerate(positions):
+                    if position in dropped:
+                        continue
+                    if index in unfit:
+                        # Degraded/quarantined entities keep their
+                        # breaker probes and half-open recovery; a batch
+                        # read would bypass both.
+                        scalar.append(position)
+                        continue
+                    if cache is not None:
+                        hit = cache.lookup(cohort.entity_ids[index], source)
+                        if hit is not None:
+                            values[position] = hit[0]
+                            continue
+                    pending.append(index)
+                if len(pending) == len(positions):
+                    pending = None
+            if pending is None:
+                members = cohort.instances
+                entity_ids = cohort.entity_ids
+                counters = cohort.read_counters
+                supervisors = cohort.supervisors
+            else:
+                positions = [positions[i] for i in pending]
+                members = [cohort.instances[i] for i in pending]
+                entity_ids = [cohort.entity_ids[i] for i in pending]
+                counters = read_counters(members)
+                supervisors = cohort.supervisors
+                if supervisors is not None:
+                    supervisors = [supervisors[i] for i in pending]
+            if not positions:
                 continue
-            if len(pending) < min_column:
-                scalar.extend(pending)
+            if len(positions) < min_column:
+                scalar.extend(positions)
                 continue
-            batch = [(p, instances[p]) for p in pending]
-            if not self._read_batch_cohort(source, batch, results):
-                scalar.extend(pending)
+            column = self._read_batch_cohort(
+                source, members, entity_ids, counters, supervisors
+            )
+            if column is None:
+                scalar.extend(positions)
+            elif pending is None and cohort.whole:
+                values = column
+            else:
+                for position, value in zip(positions, column):
+                    values[position] = value
         if scalar:
             self.sweeper.note_batch_demoted(len(scalar))
             scalar.sort()
             for position in scalar:
-                results[position] = self._gather_read(
-                    source, None, instances[position]
-                )
-        return results
+                result = self._gather_read(source, None, instances[position])
+                if type(result) is ReadFault:
+                    faults[position] = result
+                else:
+                    values[position] = result
+        return values, faults
 
-    def _read_batch_cohort(self, source, batch, results) -> bool:
-        """One driver-level batch read over a cohort.
+    def _read_batch_cohort(
+        self, source, members, entity_ids, counters, supervisors
+    ):
+        """One driver-level batch read over a cohort's member column.
 
-        Fills ``results`` and returns True on success; returns False —
-        leaving ``results`` untouched for these positions — when the
-        cohort must be demoted to the scalar path (driver declined,
-        read failed, or the column does not align with the cohort).
+        ``counters`` are the members' ``(device_reads_total counter,
+        count)`` pairs and ``supervisors`` their supervisor column
+        (``None`` when none is supervised).  Returns the coerced value
+        column, or ``None`` when the cohort must be demoted to the
+        scalar path (driver declined, read failed, or the column does
+        not align with the cohort).  The whole column is validated
+        before any side effect: a non-conforming value raises the
+        scalar path's :class:`~repro.errors.ValueConformanceError` for
+        the first offending value and leaves the read cache and every
+        supervisor's last-known value untouched.  Each slot counts as
+        one attempted read either way, as :meth:`DeviceInstance.read`
+        counts an attempt before it validates.
         """
-        instances = [instance for __, instance in batch]
-        entity_ids = [instance.entity_id for instance in instances]
-        driver = instances[0].driver
         try:
-            column = driver.read_batch(entity_ids, source)
+            column = members[0].driver.read_batch(entity_ids, source)
         except DeliveryError:
-            return False
+            return None
         if column is NotImplemented or column is None:
-            return False
+            return None
         try:
             values = list(column)
         except TypeError:
-            return False
-        if len(values) != len(batch):
-            return False
+            return None
+        if len(values) != len(members):
+            return None
         self.sweeper.note_batch_read(len(values))
-        cache = self.read_cache
-        for (position, instance), raw in zip(batch, values):
-            source_info = instance.info.source(source)
-            value = coerce_value(source_info.dia_type, raw)
-            supervisor = instance.supervisor
-            if supervisor is not None:
-                # Keeps last-known stale values fresh and the breaker's
-                # success accounting truthful, exactly as a scalar read.
-                supervisor.record_success(source, value)
-            if instance._m_reads is not None:
-                instance._m_reads.inc()
-            if cache is not None:
-                cache.store(instance, source, value)
-            results[position] = (_READ_OK, value)
-        return True
+        for counter, reads in counters:
+            counter.inc(reads)
+        values = coerce_column(members[0].info.source(source).dia_type, values)
+        if supervisors is not None:
+            # Keeps last-known stale values fresh and the breakers'
+            # success accounting truthful, exactly as scalar reads.
+            self.supervision.record_column_success(
+                supervisors, source, values
+            )
+        if self.read_cache is not None:
+            self.read_cache.store_many(members, source, values)
+        return values
 
     def _stale_reading(self, instance, source):
         """Last-known cached reading for a dark source, or ``None``.
@@ -1277,6 +1338,19 @@ class Application:
             ("context", name),
             ContextEvent(name, checked, self.clock.now()),
         )
+
+
+def _unhealthy(supervisors) -> Any:
+    """Indexes of a cohort's supervised members whose breaker is not
+    closed this sweep.  Hard-failed instances never reach a cohort:
+    the registry's sweep partition leaves them out."""
+    if supervisors is None:
+        return ()
+    return {
+        index
+        for index, supervisor in enumerate(supervisors)
+        if supervisor is not None and supervisor.health != HEALTHY
+    }
 
 
 def _snake(name: str) -> str:

@@ -356,17 +356,24 @@ class ReadCache(Instrumented):
                 self._m_age.observe(age)
             return entry[0], age
 
-    def store(self, instance, source: str, value: Any) -> None:
-        """Populate the cache from a read that bypassed
-        :meth:`get_or_read` — one slot of a driver-level batch column.
+    def store_many(self, instances, source: str, values) -> None:
+        """Populate the cache from a driver-level batch column that
+        bypassed :meth:`get_or_read`: one lock and one clock read for
+        the column.
 
-        Counts as a miss (the driver was genuinely consulted), so
-        hit/miss arithmetic stays comparable between scalar and batch
-        runs.
+        Each slot counts as a miss (the driver was genuinely
+        consulted), so hit/miss arithmetic stays comparable between
+        scalar and batch runs.
         """
+        attr = self.config.shard_attribute
         with self._lock:
-            self._misses += 1
-        self._store((instance.entity_id, source), value, instance)
+            self._misses += len(instances)
+            now = self.clock.now()
+            for instance, value in zip(instances, values):
+                shard = (
+                    instance.attributes.get(attr) if attr is not None else None
+                )
+                self._put((instance.entity_id, source), value, now, shard)
 
     def _store(self, key: _CacheKey, value: Any, instance) -> None:
         shard = None
@@ -374,13 +381,17 @@ class ReadCache(Instrumented):
         if attr is not None:
             shard = instance.attributes.get(attr)
         with self._lock:
-            old = self._entries.get(key)
-            if old is not None and old[2] is not None and old[2] != shard:
-                self._discard_from_shard(key, old[2])
-            self._entries[key] = (value, self.clock.now(), shard)
-            self._by_entity.setdefault(key[0], set()).add(key)
-            if shard is not None:
-                self._by_shard.setdefault((key[1], shard), set()).add(key)
+            self._put(key, value, self.clock.now(), shard)
+
+    def _put(self, key: _CacheKey, value: Any, stamp: float, shard) -> None:
+        """Write one entry and its indexes; the caller holds the lock."""
+        old = self._entries.get(key)
+        if old is not None and old[2] is not None and old[2] != shard:
+            self._discard_from_shard(key, old[2])
+        self._entries[key] = (value, stamp, shard)
+        self._by_entity.setdefault(key[0], set()).add(key)
+        if shard is not None:
+            self._by_shard.setdefault((key[1], shard), set()).add(key)
 
     # -- invalidation --------------------------------------------------------
 

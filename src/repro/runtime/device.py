@@ -191,6 +191,7 @@ class DeviceInstance:
         # read reaches the driver — the exact pre-cache behaviour.
         self._cache = None
         self._publish_hook: Optional[Callable[..., None]] = None
+        self._failure_listener: Optional[Callable[[], None]] = None
         self._m_reads = None
         self._m_retries = None
         self._m_timeouts = None
@@ -202,6 +203,15 @@ class DeviceInstance:
     def attach(self, publish_hook: Callable[..., None]) -> None:
         """Connect the instance to an application's event plumbing."""
         self._publish_hook = publish_hook
+
+    def set_failure_listener(
+        self, listener: Optional[Callable[[], None]]
+    ) -> None:
+        """Call ``listener()`` whenever :meth:`fail` or :meth:`recover`
+        flips the ``failed`` flag (the registry uses it to know when its
+        cached "no instance has failed" checks expire); ``None``
+        detaches it."""
+        self._failure_listener = listener
 
     def attach_metrics(self, metrics) -> None:
         """Export read/retry/timeout counters (labelled by device type)
@@ -408,9 +418,13 @@ class DeviceInstance:
     def fail(self) -> None:
         """Mark the device as failed (Section VI: device-failure dimension)."""
         self.failed = True
+        if self._failure_listener is not None:
+            self._failure_listener()
 
     def recover(self) -> None:
         self.failed = False
+        if self._failure_listener is not None:
+            self._failure_listener()
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.attributes.items())

@@ -34,7 +34,10 @@ the per-publish resolution path byte-identical to previous releases.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 from typing import Any, Dict, Optional, Tuple
 
 from repro.runtime.configbase import ConfigBase
@@ -42,10 +45,12 @@ from repro.telemetry.instrument import Instrumented, MetricSpec
 
 __all__ = [
     "BatchConfig",
+    "Cohort",
     "CohortPlan",
     "CohortPlanner",
     "DeliveryPlanner",
     "SourcePlan",
+    "read_counters",
 ]
 
 # Column-size buckets: cohorts below min_column never batch, city-scale
@@ -255,32 +260,80 @@ class DeliveryPlanner(Instrumented):
         )
 
 
+class Cohort:
+    """One ``batch_key`` cohort of a sweep shard, as columns.
+
+    ``positions`` indexes the sweep shard's instance column (a
+    ``range`` when the cohort is the whole shard);
+    ``instances`` and ``entity_ids`` are the matching member columns —
+    ``entity_ids`` is the list handed to
+    :meth:`~repro.runtime.device.DeviceDriver.read_batch`.  ``whole``
+    is true when the cohort is the entire shard in order, so its value
+    column *is* the shard's column (no scatter).  ``supervisors`` is
+    the members' supervisor column, or ``None`` for an unsupervised
+    cohort, and ``read_counters`` the ``(device_reads_total counter,
+    count)`` pairs one whole-cohort read increments.  Supervisors and
+    counters are wired at bind time, so like the rest of the plan they
+    are fixed for a registry version.
+    """
+
+    __slots__ = (
+        "positions",
+        "instances",
+        "entity_ids",
+        "whole",
+        "supervisors",
+        "read_counters",
+    )
+
+    def __init__(self, positions, instances, whole):
+        self.positions = positions
+        self.instances = instances
+        self.entity_ids = [instance.entity_id for instance in instances]
+        self.whole = whole
+        supervisors = tuple(instance.supervisor for instance in instances)
+        self.supervisors = (
+            supervisors if supervisors.count(None) < len(supervisors) else None
+        )
+        self.read_counters = read_counters(instances)
+
+
+def read_counters(instances) -> Tuple[Tuple[Any, int], ...]:
+    """``(counter, count)`` pairs of the ``device_reads_total`` counters
+    behind ``instances`` (instances of a device type share one)."""
+    counts = collections.Counter(instance._m_reads for instance in instances)
+    counts.pop(None, None)
+    return tuple(counts.items())
+
+
 class CohortPlan:
     """Persistent (shard, batch_key) cohort partition for one columnar
     sweep shard.
 
-    ``groups`` is a tuple of position tuples — one per ``batch_key``
-    cohort, in first-appearance order, positions being indexes into the
-    sweep shard's instance column; ``scalar`` the positions whose
-    driver declines batching (``batch_key`` is ``None``).  ``version``
-    is the registry version captured at compile time: cohort membership
-    is a pure function of the bindings, so the plan stays valid until
-    the registry moves.  Per-sweep *eligibility* (sampler drops, failed
-    flags, breaker health, cache freshness) stays dynamic in the gather
-    path — the plan only spares it the per-instance ``batch_key`` calls
-    and cohort re-formation every sweep.
+    ``instances`` is the shard's instance column the plan was compiled
+    for; ``cohorts`` one :class:`Cohort` per ``batch_key``, in
+    first-appearance order; ``scalar`` the positions whose driver
+    declines batching (``batch_key`` is ``None``).  ``version`` is the
+    registry version captured at compile time: cohort membership is a
+    pure function of the bindings, so the plan stays valid while the
+    registry does not move and the shard column is the same.  Per-sweep
+    *eligibility* (sampler drops, breaker health, cache freshness)
+    stays dynamic in the gather path — the plan spares it
+    the per-instance ``batch_key`` calls and the re-formation of the
+    cohort columns every sweep.
     """
 
-    __slots__ = ("groups", "scalar", "version")
+    __slots__ = ("instances", "cohorts", "scalar", "version")
 
-    def __init__(self, groups, scalar, version):
-        self.groups = groups
+    def __init__(self, instances, cohorts, scalar, version):
+        self.instances = instances
+        self.cohorts = cohorts
         self.scalar = scalar
         self.version = version
 
     def __repr__(self) -> str:
         return (
-            f"<CohortPlan groups={len(self.groups)} "
+            f"<CohortPlan cohorts={len(self.cohorts)} "
             f"scalar={len(self.scalar)} v{self.version}>"
         )
 
@@ -288,11 +341,12 @@ class CohortPlan:
 class CohortPlanner(Instrumented):
     """Memoized cohort plans for the columnar sweep hot path.
 
-    Keyed by ``(source, shard length, first entity id)`` — a sweep
-    shard's membership and order are fixed for a registry version, and
-    its first entity identifies it among the shards of one sweep — and
-    invalidated by the registry version, the same two-integer-compare
-    discipline :class:`DeliveryPlanner` uses.
+    Keyed by ``(source, shard length, first entity id)`` — the first
+    entity identifies a sweep shard among the shards of one sweep — and
+    valid while the registry version and the shard's instance column
+    are unchanged (an identity check while the registry's shard memo
+    hands out the same column, an element-wise one otherwise), the same
+    cheap-compare discipline :class:`DeliveryPlanner` uses.
     """
 
     metric_specs = (
@@ -313,6 +367,7 @@ class CohortPlanner(Instrumented):
     def __init__(self, registry, metrics=None):
         self.registry = registry
         self._plans: Dict[Tuple[str, int, str], CohortPlan] = {}
+        self._version = registry.version
         self._compiles = 0
         self._hits = 0
         if metrics is not None:
@@ -321,28 +376,50 @@ class CohortPlanner(Instrumented):
     def plan(self, source: str, instances) -> CohortPlan:
         """The cohort plan for one sweep shard (compiling on miss)."""
         version = self.registry.version
+        if version != self._version:
+            # Plans of an older registry version can never hit again;
+            # drop them so they do not pin unbound instances.
+            self._plans.clear()
+            self._version = version
         key = (
             source,
             len(instances),
             instances[0].entity_id if instances else "",
         )
         plan = self._plans.get(key)
-        if plan is not None and plan.version == version:
+        if (
+            plan is not None
+            and plan.version == version
+            and (plan.instances is instances or plan.instances == instances)
+        ):
             self._hits += 1
             return plan
-        cohorts: Dict[int, list] = {}
-        scalar = []
-        for position, instance in enumerate(instances):
-            batch_key = instance.driver.batch_key(source)
-            if batch_key is None:
-                scalar.append(position)
-            else:
-                cohorts.setdefault(id(batch_key), []).append(position)
-        plan = CohortPlan(
-            tuple(tuple(positions) for positions in cohorts.values()),
-            tuple(scalar),
-            version,
-        )
+        # The keys are held in a list, so their ids stay unique while
+        # they group the positions.
+        keys = [instance.driver.batch_key(source) for instance in instances]
+        first = keys[0] if keys else None
+        if first is not None and all(map(is_, keys, repeat(first))):
+            # One substrate behind the whole shard: the common fleet case.
+            cohorts = (Cohort(range(len(keys)), instances, True),)
+            scalar = ()
+        else:
+            groups: Dict[int, list] = {}
+            scalar = []
+            for position, batch_key in enumerate(keys):
+                if batch_key is None:
+                    scalar.append(position)
+                else:
+                    groups.setdefault(id(batch_key), []).append(position)
+            cohorts = tuple(
+                Cohort(
+                    tuple(positions),
+                    tuple(map(instances.__getitem__, positions)),
+                    len(positions) == len(instances),
+                )
+                for positions in groups.values()
+            )
+            scalar = tuple(scalar)
+        plan = CohortPlan(instances, cohorts, scalar, version)
         self._plans[key] = plan
         self._compiles += 1
         return plan

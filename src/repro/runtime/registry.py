@@ -98,6 +98,13 @@ class EntityRegistry(Instrumented):
         # flags, health views) cannot filter the partition — see
         # _shards_memoizable.
         self._shard_memo: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
+        # Bumped when a registered instance's failed flag flips; device
+        # type -> (version, failure epoch) at which no instance of the
+        # type had failed.
+        self._failure_epoch = 0
+        self._unfailed: Dict[str, Tuple[int, int]] = {}
+        # One bound method shared by every registered instance.
+        self._failure_listener = self._note_failure_flip
         if metrics is not None:
             self.attach_metrics(metrics)
 
@@ -136,11 +143,15 @@ class EntityRegistry(Instrumented):
                 key = _index_key(type_name, attribute, value)
                 if key is not None:
                     self._by_attribute.setdefault(key, []).append(instance)
+        instance.set_failure_listener(self._failure_listener)
         self._registrations += 1
         self._version += 1
         for listener in list(self._listeners):
             listener("register", instance)
         return instance
+
+    def _note_failure_flip(self) -> None:
+        self._failure_epoch += 1
 
     def unregister(self, entity_id: str) -> DeviceInstance:
         try:
@@ -153,6 +164,7 @@ class EntityRegistry(Instrumented):
                 key = _index_key(type_name, attribute, value)
                 if key is not None:
                     self._by_attribute[key].remove(instance)
+        instance.set_failure_listener(None)
         self._unregistrations += 1
         self._version += 1
         for listener in list(self._listeners):
@@ -415,16 +427,24 @@ class EntityRegistry(Instrumented):
         would be excluded, and not when any instance of the type
         carries a failed flag that ``include_failed=False`` would
         filter (the flag flips without a version bump).  The flag scan
-        is one attribute load per instance — two orders of magnitude
-        cheaper than rebuilding the partition.
+        runs once per registry version and flip of a registered
+        instance's flag (:meth:`DeviceInstance.fail` and ``recover``
+        report flips), so a steady fleet pays one tuple compare per
+        sweep.
         """
         if self._health_lookup is not None and not include_quarantined:
             return False
-        if not include_failed and any(
+        if include_failed:
+            return True
+        clean = (self._version, self._failure_epoch)
+        if self._unfailed.get(device_type) == clean:
+            return True
+        if any(
             instance.failed
             for instance in self._by_type.get(device_type, ())
         ):
             return False
+        self._unfailed[device_type] = clean
         return True
 
     def add_listener(self, listener: Listener) -> Callable[[], None]:

@@ -59,6 +59,8 @@ import functools
 import multiprocessing
 import pickle
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
+from operator import is_not, ne, sub
 from typing import (
     Any,
     Dict,
@@ -306,24 +308,12 @@ def _pack_positions(positions: List[int]) -> List[int]:
     absolute positions cost 5."""
     if not positions:
         return positions
-    packed = [positions[0]]
-    prev = positions[0]
-    for position in positions[1:]:
-        packed.append(position - prev)
-        prev = position
-    return packed
+    return [positions[0], *map(sub, positions[1:], positions[:-1])]
 
 
 def _unpack_positions(packed: List[int]) -> List[int]:
     """Inverse of :func:`_pack_positions`."""
-    if not packed:
-        return packed
-    positions = [packed[0]]
-    prev = packed[0]
-    for gap in packed[1:]:
-        prev += gap
-        positions.append(prev)
-    return positions
+    return list(accumulate(packed))
 
 
 def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
@@ -331,32 +321,57 @@ def _encode_group_keys(keys: List[Any]) -> Tuple[Any, ...]:
 
     Fleets group a huge position space into a handful of cohorts, so
     the column is almost always ``("t", table, index_bytes)`` — each
-    key string pickled once plus one byte per row.  Columns with more
-    than 256 distinct (or unhashable) keys fall back to the plain list
-    ``("k", keys)``."""
-    table: List[Any] = []
-    index_of: Dict[Any, int] = {}
-    indexes = bytearray()
+    key string pickled once (in first-appearance order) plus one byte
+    per row.  Columns with more than 256 distinct (or unhashable) keys
+    fall back to the plain list ``("k", keys)``."""
     try:
-        for key in keys:
-            index = index_of.get(key)
-            if index is None:
-                index = index_of[key] = len(table)
-                if index > 255:
-                    return ("k", keys)
-                table.append(key)
-            indexes.append(index)
+        table = list(dict.fromkeys(keys))
     except TypeError:
         return ("k", keys)
-    return ("t", table, bytes(indexes))
+    if len(table) > 256:
+        return ("k", keys)
+    index_of = {key: index for index, key in enumerate(table)}
+    return ("t", table, bytes(map(index_of.__getitem__, keys)))
 
 
 def _decode_group_keys(block: Tuple[Any, ...]) -> List[Any]:
     """Inverse of :func:`_encode_group_keys`."""
     if block[0] == "t":
-        table = block[1]
-        return [table[index] for index in block[2]]
+        return list(map(block[1].__getitem__, block[2]))
     return block[1]
+
+
+def _changed_indexes(previous, previous_types, current, current_types):
+    """Indexes where ``current`` differs from ``previous``: ``type(prev)
+    is not type(value) or prev != value``, as C-level column passes
+    instead of a per-row Python loop.  ``*_types`` are the columns'
+    ``set(map(type, ...))``; when both hold the same single type, no
+    slot can have changed type and the type pass is skipped."""
+    changed = list(compress(count(), map(ne, previous, current)))
+    if len(current_types) > 1 or current_types != previous_types:
+        retyped = list(
+            compress(
+                count(), map(is_not, map(type, previous), map(type, current))
+            )
+        )
+        if retyped:
+            changed = sorted(set(changed).union(retyped))
+    return changed
+
+
+class _DeltaState:
+    """One gather's delta-sync epoch on a worker: the registry version
+    it started at and the last shipped instance, global-position and
+    value columns (plus the value column's type set)."""
+
+    __slots__ = ("version", "instances", "positions", "values", "types")
+
+    def __init__(self, version: int):
+        self.version = version
+        self.instances: Optional[Sequence[Any]] = None
+        self.positions: Sequence[int] = ()
+        self.values: Sequence[Any] = ()
+        self.types: set = set()
 
 
 # ----------------------------------------------------------------------
@@ -396,10 +411,10 @@ class _ShardWorker:
         # MapReduce gather: (context, interaction) -> keyed readings.
         self._pending: Dict[Tuple[str, int], List[Tuple[Any, ...]]] = {}
         # Delta-sync state per (context, interaction): the registry
-        # version the epoch started at plus the last value shipped per
-        # global position.  A registry version bump (bind/unbind)
-        # resets the epoch — the worker re-registers everything.
-        self._sync: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        # version the epoch started at plus the last shipped columns.
+        # A registry version bump (bind/unbind) resets the epoch — the
+        # worker re-registers everything.
+        self._sync: Dict[Tuple[str, int], _DeltaState] = {}
         # Re-attach every instance's publish hook to the recorder so
         # pushes surface in command replies instead of dead-ending in
         # the worker's subscriber-less bus.  Recording happens at the
@@ -457,13 +472,13 @@ class _ShardWorker:
     ) -> Dict[str, Any]:
         """Sweep this shard for one periodic gather.
 
-        Runs the exact per-shard half of
-        ``Application._collect_payload``: sweep engine fan-out (serial
-        under the simulation clock, columnar when the batch path is
-        on), outcome folding with supervision/stale accounting, and
-        group-key extraction.  Values stay in this process for
-        MapReduce gathers — only ``{group: min gpos}`` crosses the pipe
-        until the map round.
+        Runs ``Application._sweep_readings``, the same code the
+        single-process ``_collect_payload`` runs: sweep engine fan-out
+        (serial under the simulation clock, columnar when the batch
+        path is on) and outcome folding with supervision/stale
+        accounting, into ``(instances, values)`` columns.  Values stay
+        in this process for MapReduce gathers — only ``{group: min
+        gpos}`` crosses the pipe until the map round.
 
         Flat and grouped gathers reply in the delta protocol (see
         :meth:`_encode_delta`): identity columns ship once per
@@ -474,37 +489,25 @@ class _ShardWorker:
         self.clock.run_until(target)
         app = self.app
         interaction = app.design.contexts[name].decl.interactions[index]
-        source = interaction.source
-        sampler = app._read_sampler(interaction)
         dropped_before = app._gather_network_dropped
         failed_before = app._gather_read_failed
-        outcomes = app.sweeper.sweep(
-            interaction.device,
-            functools.partial(app._gather_read, source, sampler),
-            read_column=(
-                functools.partial(app._gather_read_column, source, sampler)
-                if app.config.batch.enabled
-                else None
-            ),
-        )
-        readings = app._fold_read_outcomes(outcomes, source)
+        instances, values = app._sweep_readings(interaction)
         reply: Dict[str, Any] = {
             "dropped": app._gather_network_dropped - dropped_before,
             "failed": app._gather_read_failed - failed_before,
             "events": self._drain_events(),
         }
-        gpos = self._gpos
         group = interaction.group
         if group is not None and group.uses_mapreduce:
-            keyed = []
-            for instance, value in readings:
-                keyed.append(
-                    (
-                        gpos[instance.entity_id],
-                        self._group_key(instance, group),
-                        value,
-                    )
+            gpos = self._gpos
+            keyed = [
+                (
+                    gpos[instance.entity_id],
+                    self._group_key(instance, group),
+                    value,
                 )
+                for instance, value in zip(instances, values)
+            ]
             self._pending[(name, index)] = keyed
             mins: Dict[Any, int] = {}
             for position, key, __ in keyed:
@@ -516,11 +519,13 @@ class _ShardWorker:
         kind = "flat" if group is None else "grouped"
         reply["kind"] = kind
         try:
-            self._encode_delta(reply, kind, readings, group, gpos, name, index)
+            self._encode_delta(
+                reply, kind, instances, values, group, name, index
+            )
         except Exception:
             # A half-applied epoch (e.g. a BindingError halfway through
             # key extraction) must not leave ghost "already shipped"
-            # digests: drop the state so the next poll re-registers.
+            # columns: drop the state so the next poll re-registers.
             self._sync.pop((name, index), None)
             raise
         return reply
@@ -535,7 +540,7 @@ class _ShardWorker:
             ) from None
 
     def _encode_delta(
-        self, reply, kind, readings, group, gpos, name, index
+        self, reply, kind, instances, values, group, name, index
     ) -> None:
         """The delta wire protocol.
 
@@ -562,70 +567,112 @@ class _ShardWorker:
         * ``reset`` — set when the shard's registry version moved (or
           the epoch is new): the coordinator must clear this shard's
           slice of the mirror before applying the blocks.
+
+        The worker keeps the last shipped columns per gather.  While
+        the sweep returns the same instance column (the registry's
+        memoized partition, no faulted slot), the diff is column
+        against column — ``changed`` plus a ``quiescent`` count.  A
+        membership change without a version bump (drops, failures,
+        stale service) diffs membership instead and may register and
+        retract rows.
         """
         version = self.app.registry.version
         state = self._sync.get((name, index))
-        if state is None or state["version"] != version:
-            state = {"version": version, "known": {}}
-            self._sync[(name, index)] = state
+        if state is None or state.version != version:
+            state = self._sync[(name, index)] = _DeltaState(version)
             reply["reset"] = True
-        known = state["known"]
+        types = set(map(type, values))
+        if instances is state.instances:
+            positions = state.positions
+            changed = _changed_indexes(
+                state.values, state.types, values, types
+            )
+            if changed:
+                reply["changed"] = (
+                    _pack_positions([positions[i] for i in changed]),
+                    [values[i] for i in changed],
+                )
+            reply["quiescent"] = len(values) - len(changed)
+        else:
+            gpos = self._gpos
+            positions = [gpos[instance.entity_id] for instance in instances]
+            self._membership_delta(
+                reply, kind, group, state, instances, positions, values
+            )
+        state.instances = instances
+        state.positions = positions
+        state.values = values
+        state.types = types
+
+    def _membership_delta(
+        self, reply, kind, group, state, instances, positions, values
+    ) -> None:
+        """Delta blocks for a sweep whose membership differs from the
+        last shipped one: register new positions, retract vanished
+        ones, diff the rest value by value.  A fresh epoch registers
+        the whole sweep at once."""
+        if not state.positions:
+            if positions:
+                reply["register"] = self._register_block(
+                    kind, group, instances, positions, list(values)
+                )
+            reply["quiescent"] = 0
+            return
+        shipped = dict(zip(state.positions, state.values))
+        reg_instances: List[Any] = []
         reg_pos: List[int] = []
-        reg_ident: List[Any] = []
         reg_val: List[Any] = []
         changed_pos: List[int] = []
         changed_val: List[Any] = []
         quiescent = 0
-        flat = kind == "flat"
-        for instance, value in readings:
-            position = gpos[instance.entity_id]
-            if position not in known:
+        for instance, position, value in zip(instances, positions, values):
+            if position not in shipped:
+                reg_instances.append(instance)
                 reg_pos.append(position)
-                if flat:
-                    reg_ident.append(
-                        (
-                            instance.info.name,
-                            instance.entity_id,
-                            dict(instance.attributes),
-                        )
-                    )
-                else:
-                    reg_ident.append(self._group_key(instance, group))
                 reg_val.append(value)
-                known[position] = value
             else:
-                prev = known[position]
-                if type(prev) is type(value) and prev == value:
+                prev = shipped[position]
+                if type(prev) is type(value) and not prev != value:
                     quiescent += 1
                 else:
                     changed_pos.append(position)
                     changed_val.append(value)
-                    known[position] = value
-        vanished = len(known) - len(readings)
-        if vanished:
-            present = {gpos[i.entity_id] for i, __ in readings}
-            retract = sorted(p for p in known if p not in present)
-            for position in retract:
-                del known[position]
-            reply["retract"] = _pack_positions(retract)
+        if len(shipped) > len(positions) - len(reg_pos):
+            present = set(positions)
+            reply["retract"] = _pack_positions(
+                sorted(p for p in shipped if p not in present)
+            )
         if reg_pos:
-            if flat:
-                reply["register"] = (
-                    _pack_positions(reg_pos),
-                    [ident[0] for ident in reg_ident],
-                    [ident[1] for ident in reg_ident],
-                    [ident[2] for ident in reg_ident],
-                    reg_val,
-                )
-            else:
-                reply["register"] = (
-                    _pack_positions(reg_pos),
-                    _encode_group_keys(reg_ident),
-                    reg_val,
-                )
+            reply["register"] = self._register_block(
+                kind, group, reg_instances, reg_pos, reg_val
+            )
         if changed_pos:
             reply["changed"] = (_pack_positions(changed_pos), changed_val)
         reply["quiescent"] = quiescent
+
+    def _register_block(self, kind, group, instances, positions, values):
+        """The ``register`` block for rows shipped for the first time
+        this epoch (layouts in :meth:`_encode_delta`)."""
+        if kind == "flat":
+            return (
+                _pack_positions(list(positions)),
+                [instance.info.name for instance in instances],
+                [instance.entity_id for instance in instances],
+                [dict(instance.attributes) for instance in instances],
+                values,
+            )
+        attribute = group.attribute
+        try:
+            keys = [instance.attributes[attribute] for instance in instances]
+        except KeyError:
+            for instance in instances:
+                self._group_key(instance, group)
+            raise
+        return (
+            _pack_positions(list(positions)),
+            _encode_group_keys(keys),
+            values,
+        )
 
     def _cmd_map(
         self, name: str, index: int, ranks: Dict[Any, int]

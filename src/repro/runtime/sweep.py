@@ -45,7 +45,18 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.runtime.clock import SimulationClock
 from repro.runtime.configbase import ConfigBase
@@ -53,7 +64,13 @@ from repro.runtime.device import DeviceInstance
 from repro.runtime.plan import BATCH_COLUMN_BUCKETS
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
-__all__ = ["SweepConfig", "SweepEngine"]
+__all__ = [
+    "DROPPED",
+    "ReadFault",
+    "SweepColumns",
+    "SweepConfig",
+    "SweepEngine",
+]
 
 SWEEP_MODES = ("serial", "threaded", "auto")
 
@@ -71,6 +88,99 @@ SWEEP_DURATION_BUCKETS = (
     1.0,
     5.0,
 )
+
+
+class ReadFault:
+    """A sweep slot that produced no reading.
+
+    :data:`DROPPED` marks a read the network sampler lost; any other
+    fault carries the :class:`~repro.errors.DeliveryError` of a failed
+    supervised read in ``error``.  Faults travel beside a value column
+    in a sparse ``position -> ReadFault`` map, so a healthy sweep pays
+    nothing for them.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, error=None):
+        self.error = error
+
+    def __repr__(self) -> str:
+        if self is DROPPED:
+            return "<ReadFault dropped>"
+        return f"<ReadFault {self.error!r}>"
+
+
+DROPPED = ReadFault()
+
+
+class SweepColumns(NamedTuple):
+    """One columnar sweep in registry iteration order.
+
+    ``instances`` and ``values`` are aligned columns over every swept
+    instance (sequences to read, never to mutate: the instance column
+    is reused across sweeps while the registry does not move); a slot
+    named in ``faults`` holds no reading.
+    """
+
+    instances: Sequence[DeviceInstance]
+    values: Sequence[Any]
+    faults: Dict[int, ReadFault]
+
+
+class _Layout:
+    """Registry-order view of one sweep's shard partition, built once
+    per partition: the instance column, each shard's member column and
+    registry positions, and the permutation that merges shard-major
+    value columns back into registry order."""
+
+    __slots__ = ("shards", "instances", "members", "positions", "merge")
+
+    def __init__(self, shards):
+        self.shards = shards
+        self.members = [
+            tuple(map(_SECOND, members)) for __, members in shards
+        ]
+        self.positions = [
+            tuple(map(_FIRST, members)) for __, members in shards
+        ]
+        # Shard-major order -> registry order: registry positions are a
+        # permutation of range(total), so sorting shard-major indexes by
+        # their registry position yields the merge permutation.
+        flat_positions = list(chain.from_iterable(self.positions))
+        flat_members = list(chain.from_iterable(self.members))
+        order = sorted(
+            range(len(flat_positions)), key=flat_positions.__getitem__
+        )
+        if order == list(range(len(order))):
+            self.instances = tuple(flat_members)
+            self.merge = _concat
+        else:
+            pick = itemgetter(*order)
+            self.instances = pick(flat_members)
+            self.merge = lambda parts: pick(_concat(parts))
+
+    def local(self, positions) -> List[List[int]]:
+        """Registry ``positions`` as per-shard local index lists."""
+        where = {}
+        for shard, shard_positions in enumerate(self.positions):
+            for local, index in enumerate(shard_positions):
+                where[index] = (shard, local)
+        split: List[List[int]] = [[] for __ in self.positions]
+        for index in positions:
+            shard, local = where[index]
+            split[shard].append(local)
+        return split
+
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+
+
+def _concat(parts):
+    if len(parts) == 1:
+        return parts[0]
+    return list(chain.from_iterable(parts))
 
 
 @dataclass(frozen=True)
@@ -187,6 +297,10 @@ class SweepEngine(Instrumented):
         self._batch_reads = 0
         self._batch_demoted = 0
         self._shard_reads: Dict[str, int] = {}
+        # (device type, include_quarantined) -> layout of the last
+        # partition seen; reused while the registry hands out the same
+        # memoized partition object.
+        self._layouts: Dict[Tuple[str, bool], _Layout] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._metrics = None
         self._m_duration = None
@@ -289,9 +403,10 @@ class SweepEngine(Instrumented):
         read_one: Callable[[DeviceInstance], Any],
         include_quarantined: bool = True,
         read_column: Optional[
-            Callable[[Sequence[DeviceInstance]], List[Any]]
+            Callable[[Sequence[DeviceInstance], List[int]], Any]
         ] = None,
-    ) -> List[Tuple[DeviceInstance, Any]]:
+        sampler: Optional[Callable[[], bool]] = None,
+    ):
         """Run ``read_one`` over every bound instance of ``device_type``.
 
         Returns ``(instance, result)`` pairs **in registry iteration
@@ -301,12 +416,20 @@ class SweepEngine(Instrumented):
         catch inside the callable, as ``Application._gather`` does).
 
         With ``read_column`` (the columnar batch-read path), the engine
-        hands each shard's instances to it in one call and expects a
-        result column aligned with the input; one pool task per shard
-        replaces one task per ``batch_size`` reads.  The caller owns
+        hands each shard's instance column to it in one call, with the
+        shard-local indexes the network ``sampler`` dropped, and
+        expects ``(values, faults)`` back: a value column aligned with
+        the input plus a sparse ``{index: ReadFault}`` map of the slots
+        that produced no reading.  One pool task per shard replaces one
+        task per ``batch_size`` reads, and the result is a
+        :class:`SweepColumns` in registry order.  The sampler is drawn
+        once per instance in registry order before any read, the same
+        draw sequence the serial scalar loop makes, so both paths lose
+        the same reads (without ``read_column``, ``read_one`` samples
+        its own reads and ``sampler`` is unused).  The caller owns
         cohort formation, eligibility and scalar demotion inside
-        ``read_column`` — the engine only owns fan-out and the ordered
-        merge, exactly as on the scalar path.
+        ``read_column`` — the engine only owns sampling, fan-out and
+        the ordered merge.
         """
         started = time.perf_counter()
         self._sweeps += 1
@@ -320,12 +443,36 @@ class SweepEngine(Instrumented):
             self._count_shard(shard_key, len(members))
         if read_column is not None:
             self._columnar_sweeps += 1
+            layout = self._layout(device_type, include_quarantined, shards)
+            faults: Dict[int, ReadFault] = {}
+            if sampler is None:
+                skips = [()] * len(layout.members)
+            else:
+                for index in range(len(layout.instances)):
+                    if not sampler():
+                        faults[index] = DROPPED
+                skips = layout.local(faults)
             if self.mode_for_clock() == "threaded":
                 self._threaded_sweeps += 1
-                results = self._sweep_threaded_columnar(shards, read_column)
+                columns = self._sweep_threaded_columnar(
+                    layout, skips, read_column
+                )
             else:
                 self._serial_sweeps += 1
-                results = self._sweep_serial_columnar(shards, read_column)
+                columns = [
+                    read_column(members, skip)
+                    for members, skip in zip(layout.members, skips)
+                ]
+            for positions, (__, shard_faults) in zip(
+                layout.positions, columns
+            ):
+                for local, fault in shard_faults.items():
+                    faults[positions[local]] = fault
+            results = SweepColumns(
+                layout.instances,
+                layout.merge([values for values, __ in columns]),
+                faults,
+            )
         elif self.mode_for_clock() == "threaded":
             self._threaded_sweeps += 1
             results = self._sweep_threaded(shards, read_one)
@@ -335,6 +482,13 @@ class SweepEngine(Instrumented):
         if self._m_duration is not None:
             self._m_duration.observe(time.perf_counter() - started)
         return results
+
+    def _layout(self, device_type, include_quarantined, shards) -> _Layout:
+        key = (device_type, include_quarantined)
+        layout = self._layouts.get(key)
+        if layout is None or layout.shards is not shards:
+            layout = self._layouts[key] = _Layout(shards)
+        return layout
 
     def _sweep_serial(self, shards, read_one):
         """The reference loop.  Shards may interleave in registration
@@ -396,59 +550,32 @@ class SweepEngine(Instrumented):
             for index, instance in batch
         ]
 
-    def _sweep_serial_columnar(self, shards, read_column):
-        """One read_column call per shard, merged by registry position."""
-        total = sum(len(members) for __, members in shards)
-        slots: List[Any] = [None] * total
-        instances: List[Optional[DeviceInstance]] = [None] * total
-        for __, members in shards:
-            column = read_column([instance for __, instance in members])
-            for (index, instance), value in zip(members, column):
-                slots[index] = value
-                instances[index] = instance
-        return list(zip(instances, slots))
-
-    def _sweep_threaded_columnar(self, shards, read_column):
+    def _sweep_threaded_columnar(self, layout, skips, read_column):
         """One pool task per shard; the batch read spans the shard, so
-        finer-grained tasks would just split the column for no gain."""
+        finer-grained tasks would just split the column for no gain.
+        Returns the per-shard ``(values, faults)`` in shard order."""
         pool = self._ensure_pool()
-        total = sum(len(members) for __, members in shards)
-        slots: List[Any] = [None] * total
-        instances: List[Optional[DeviceInstance]] = [None] * total
-        self._batches += len(shards)
+        self._batches += len(layout.members)
         in_flight = self._m_in_flight
-        pending = set()
-        for __, members in shards:
-            pending.add(
-                pool.submit(self._run_column, members, read_column)
-            )
+        futures = []
+        for members, skip in zip(layout.members, skips):
+            futures.append(pool.submit(read_column, members, skip))
             if in_flight is not None:
                 in_flight.inc()
+        columns = []
         first_error: Optional[BaseException] = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                if in_flight is not None:
-                    in_flight.dec()
-                error = future.exception()
-                if error is not None:
-                    if first_error is None:
-                        first_error = error
-                    continue
-                for index, instance, value in future.result():
-                    slots[index] = value
-                    instances[index] = instance
+        for future in futures:
+            error = future.exception()
+            if in_flight is not None:
+                in_flight.dec()
+            if error is not None:
+                if first_error is None:
+                    first_error = error
+                continue
+            columns.append(future.result())
         if first_error is not None:
             raise first_error
-        return list(zip(instances, slots))
-
-    @staticmethod
-    def _run_column(members, read_column):
-        column = read_column([instance for __, instance in members])
-        return [
-            (index, instance, value)
-            for (index, instance), value in zip(members, column)
-        ]
+        return columns
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:

@@ -8,7 +8,7 @@ an action argument) is checked against its declared type before delivery.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, List, Mapping
 
 from repro.errors import ValueConformanceError
 from repro.typesys.core import (
@@ -134,6 +134,48 @@ def coerce_value(dia_type: DiaType, value: Any) -> Any:
         if isinstance(value, int):
             return float(value)
     return check_value(dia_type, value)
+
+
+# Python types whose values conform to a primitive as they are — the
+# set(map(type, column)) fast path of coerce_column.  Subclasses (and
+# bool posing as an Integer) take the per-value path instead.
+_EXACT_TYPES = {
+    "Boolean": frozenset((bool,)),
+    "Integer": frozenset((int,)),
+    "Float": frozenset((float,)),
+    "String": frozenset((str,)),
+}
+_WIDENED_FLOAT = frozenset((float, int))
+
+
+def coerce_column(dia_type: DiaType, column: List[Any]) -> List[Any]:
+    """:func:`coerce_value` over a whole column of device readings.
+
+    One ``set(map(type, column))`` pass decides a primitive or
+    enumeration column at once; a column of ``Integer`` readings for a
+    ``Float`` position is widened in one comprehension.  Anything else
+    — structures, arrays, subclasses, a non-conforming value — runs
+    :func:`coerce_value` value by value, so the result and the
+    :class:`ValueConformanceError` naming the first offending value are
+    exactly the scalar ones.  Returns ``column`` itself when no value
+    needs converting, else a new list.
+    """
+    if isinstance(dia_type, PrimitiveType):
+        types = set(map(type, column))
+        exact = _EXACT_TYPES.get(dia_type.name)
+        if exact is not None and types <= exact:
+            return column
+        if dia_type.name == "Float" and types <= _WIDENED_FLOAT:
+            return [
+                float(value) if type(value) is int else value
+                for value in column
+            ]
+    elif isinstance(dia_type, EnumerationType):
+        if set(map(type, column)) <= _EXACT_TYPES["String"] and set(
+            column
+        ) <= set(dia_type.members):
+            return column
+    return [coerce_value(dia_type, value) for value in column]
 
 
 def _check_primitive(dia_type: PrimitiveType, value: Any) -> None:

@@ -23,11 +23,15 @@ from repro.api import (
     CacheConfig,
     CallableDriver,
     Context,
+    DeviceDriver,
+    NetworkConfig,
     RuntimeConfig,
+    StalePolicy,
     SupervisionPolicy,
     SweepConfig,
     analyze,
 )
+from repro.errors import ValueConformanceError
 from repro.faults.policy import QUARANTINED
 from repro.runtime.grouping import WindowAccumulator, column_fold_for_job
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
@@ -199,6 +203,289 @@ class TestBatchEquivalence:
         assert substrate.batch_reads == 0
         assert app.sweeper.stats()["columnar_sweeps"] == 0
         assert substrate.scalar_reads > 0
+
+
+COLUMN_DESIGN = """\
+device Meter {
+    attribute lot as LotEnum;
+    source level as Float;
+    source mode as ModeEnum;
+    source label as String;
+}
+enumeration LotEnum { A22, B16, D6 }
+enumeration ModeEnum { IDLE, BUSY, DOWN }
+
+context Levels as Integer {
+    when periodic level from Meter <10 min>
+    grouped by lot
+    always publish;
+}
+
+context Modes as Integer {
+    when periodic mode from Meter <10 min>
+    grouped by lot
+    always publish;
+}
+
+context Labels as Integer {
+    when periodic label from Meter <10 min>
+    always publish;
+}
+"""
+
+COLUMN_SOURCES = ("level", "mode", "label")
+MODES = ("IDLE", "BUSY", "DOWN")
+COLUMN_MODELS = {
+    # Integer readings for a Float source: the column path must widen
+    # them exactly as coerce_value does.
+    "level": lambda draw: int(draw * 100),
+    "mode": lambda draw: MODES[int(draw * len(MODES))],
+    "label": lambda draw: f"L{int(draw * 10)}",
+}
+
+
+class RecordingContext(Context):
+    """Keeps every payload it is handed, in a comparable form."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def _record(self, payload):
+        if isinstance(payload, dict):
+            self.payloads.append(
+                {key: list(values) for key, values in payload.items()}
+            )
+        else:
+            self.payloads.append(
+                [(r.device.entity_id, r.value) for r in payload]
+            )
+        return len(self.payloads)
+
+    def on_periodic_level(self, payload, discover):
+        return self._record(payload)
+
+    def on_periodic_mode(self, payload, discover):
+        return self._record(payload)
+
+    def on_periodic_label(self, payload, discover):
+        return self._record(payload)
+
+
+def run_column_fleet(
+    batch, sensors, mode, failed, quarantined, precached, loss, stale
+):
+    """Run the three-source fleet for three sweeps; returns everything
+    the batch path must leave exactly as the scalar path does."""
+    config = RuntimeConfig(
+        batch=batch,
+        sweep=SweepConfig(mode=mode, workers=3),
+        cache=CacheConfig(enabled=True, ttl_seconds=900.0),
+        supervision=SupervisionPolicy(
+            failure_threshold=1, quarantine_after=1, jitter=0.0
+        ),
+        stale=StalePolicy(stale),
+        network=NetworkConfig(loss=loss, seed=5, apply_to_reads=True)
+        if loss
+        else None,
+    )
+    app = Application(analyze(COLUMN_DESIGN), config)
+    contexts = {
+        name: app.implement(name, RecordingContext())
+        for name in ("Levels", "Modes", "Labels")
+    }
+    substrate = FleetSubstrate(app.clock, seed=3, models=COLUMN_MODELS)
+    ids = [f"m-{index}" for index in range(sensors)]
+    for index, entity_id in enumerate(ids):
+        app.create_device(
+            "Meter",
+            entity_id,
+            substrate.driver(*COLUMN_SOURCES),
+            lot=LOTS[index % len(LOTS)],
+        )
+    for index in sorted(precached):
+        # Cache-fresh rows: read now, still fresh at the first sweep.
+        for source in COLUMN_SOURCES:
+            app.registry.get(ids[index]).read(source)
+    for index in sorted(quarantined):
+        app.registry.get(ids[index]).supervisor.record_failure()
+    for index in sorted(failed):
+        app.registry.get(ids[index]).fail()
+    app.start()
+    app.advance(PERIOD * 3)
+    cache = app.read_cache
+    return {
+        "payloads": {
+            name: context.payloads for name, context in contexts.items()
+        },
+        "reads": app.metrics.value("device_reads_total", device_type="Meter"),
+        "cache": {
+            (entity_id, source): cache.peek(entity_id, source)
+            for entity_id in ids
+            for source in COLUMN_SOURCES
+        },
+        "last_known": {
+            (entity_id, source): app.registry.get(
+                entity_id
+            ).supervisor.last_known(source)
+            for entity_id in ids
+            for source in COLUMN_SOURCES
+        },
+        "read_failed": app.stats["gather_read_failed"],
+        "dropped": app.stats["gather_network_dropped"],
+    }
+
+
+class TestColumnEquivalence:
+    """The column path == the scalar path for typed columns, with
+    failed, quarantined, cache-fresh and dropped rows interleaved in
+    the same cohorts."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sensors=st.integers(min_value=1, max_value=12),
+        min_column=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(["serial", "threaded"]),
+        failed=st.sets(st.integers(min_value=0, max_value=11)),
+        quarantined=st.sets(st.integers(min_value=0, max_value=11)),
+        precached=st.sets(st.integers(min_value=0, max_value=11)),
+        loss=st.sampled_from([0.0, 0.3]),
+        stale=st.sampled_from(["skip", "last_known"]),
+    )
+    def test_column_path_matches_scalar(
+        self,
+        sensors,
+        min_column,
+        mode,
+        failed,
+        quarantined,
+        precached,
+        loss,
+        stale,
+    ):
+        if mode == "threaded":
+            # Threaded scalar sweeps draw the network sampler from pool
+            # threads in completion order; drops are only comparable
+            # under the serial loop.
+            loss = 0.0
+        kwargs = dict(
+            sensors=sensors,
+            mode=mode,
+            failed={i for i in failed if i < sensors},
+            quarantined={i for i in quarantined if i < sensors},
+            precached={i for i in precached if i < sensors},
+            loss=loss,
+            stale=stale,
+        )
+        scalar = run_column_fleet(BatchConfig(enabled=False), **kwargs)
+        batched = run_column_fleet(
+            BatchConfig(enabled=True, min_column=min_column), **kwargs
+        )
+        assert batched == scalar
+
+    def test_integer_readings_widen_to_float(self):
+        result = run_column_fleet(
+            BatchConfig(enabled=True),
+            sensors=6,
+            mode="serial",
+            failed=set(),
+            quarantined=set(),
+            precached=set(),
+            loss=0.0,
+            stale="skip",
+        )
+        levels = [
+            value
+            for payload in result["payloads"]["Levels"]
+            for values in payload.values()
+            for value in values
+        ]
+        assert levels and all(type(value) is float for value in levels)
+
+
+class TableDriver(DeviceDriver):
+    """Reads one shared table: the scalar and the column path see the
+    same value per entity, including a deliberately bad one."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def read(self, source):
+        return self.table[self.instance.entity_id]
+
+    def read_batch(self, entity_ids, source):
+        return [self.table[entity_id] for entity_id in entity_ids]
+
+    def batch_key(self, source):
+        return self.table
+
+
+BAD_VALUE_DESIGN = """\
+device Counter {
+    attribute lot as LotEnum;
+    source count as Integer;
+}
+enumeration LotEnum { A22 }
+
+context Total as Integer {
+    when periodic count from Counter <10 min>
+    always publish;
+}
+"""
+
+
+class TotalContext(Context):
+    def on_periodic_count(self, readings, discover):
+        return sum(reading.value for reading in readings)
+
+
+def run_bad_column(batch):
+    config = RuntimeConfig(
+        batch=batch,
+        cache=CacheConfig(enabled=True, ttl_seconds=60.0),
+        supervision=SupervisionPolicy(),
+    )
+    app = Application(analyze(BAD_VALUE_DESIGN), config)
+    app.implement("Total", TotalContext())
+    table = {f"c-{index}": index for index in range(6)}
+    table["c-3"] = "three"
+    for entity_id in table:
+        app.create_device(
+            "Counter", entity_id, TableDriver(table), lot="A22"
+        )
+    app.start()
+    with pytest.raises(ValueConformanceError) as excinfo:
+        app.advance(PERIOD)
+    return app, str(excinfo.value), list(table)
+
+
+class TestColumnConformance:
+    def test_bad_value_raises_the_scalar_error_before_any_side_effect(self):
+        __, scalar_error, __ = run_bad_column(BatchConfig(enabled=False))
+        app, batch_error, ids = run_bad_column(BatchConfig(enabled=True))
+        # Same error, naming the same first offending value.
+        assert batch_error == scalar_error
+        assert "'three'" in batch_error
+        assert app.sweeper.stats()["batch_reads"] == 1
+        # The rejected column left no trace: no cached slot and no
+        # last-known value, not even for the rows before the bad one.
+        assert len(app.read_cache) == 0
+        for entity_id in ids:
+            supervisor = app.registry.get(entity_id).supervisor
+            assert supervisor.last_known("count") is None
+        # Every slot of the column was a read the driver attempted, and
+        # counts as one, as the scalar path counts an attempt before it
+        # validates the value.
+        assert app.metrics.value(
+            "device_reads_total", device_type="Counter"
+        ) == len(ids)
+
+    def test_scalar_path_counts_the_offending_attempt(self):
+        app, __, ids = run_bad_column(BatchConfig(enabled=False))
+        # Reads stop at the bad row c-3: four attempts, c-3 included.
+        assert app.metrics.value(
+            "device_reads_total", device_type="Counter"
+        ) == ids.index("c-3") + 1
 
 
 class TestDemotion:

@@ -69,15 +69,39 @@ class CountingSource:
         return self.value
 
 
-def build(cache=None, sensors=2):
+# DESIGN plus a ``maybe publish`` sweep: the discipline whose periodic
+# gathers context memoization may skip.
+MEMO_DESIGN = DESIGN + """
+context QuietSweep as Integer {
+    when periodic reading from Sensor <1 min>
+    maybe publish;
+}
+"""
+
+
+class CountingSweep(Context):
+    """Publishes how many times it has been activated."""
+
+    def __init__(self):
+        super().__init__()
+        self.activations = 0
+
+    def on_periodic_reading(self, readings, discover):
+        self.activations += 1
+        return self.activations
+
+
+def build(cache=None, sensors=2, design=DESIGN, sweep=None):
     clock = SimulationClock()
     config = RuntimeConfig(
         clock=clock, cache=cache if cache is not None else CacheConfig()
     )
-    app = Application(analyze(DESIGN), config)
+    app = Application(analyze(design), config)
     app.implement("Snapshot", SnapshotContext())
-    sweep = SweepContext()
+    sweep = sweep if sweep is not None else SweepContext()
     app.implement("Sweep", sweep)
+    if "QuietSweep" in app.design.contexts:
+        app.implement("QuietSweep", SweepContext())
     sources = {}
     for i in range(sensors):
         source = CountingSource(value=float(i))
@@ -351,16 +375,31 @@ class TestContextMemoization:
         assert app.query_context("Snapshot")[0] == 5.0
 
     def test_gather_skips_recompute_on_unchanged_payload(self):
-        app, clock, __, sweep = build(ON)
+        app, clock, __, sweep = build(ON, design=MEMO_DESIGN)
+        quiet = app.implementation("QuietSweep")
         clock.advance(60.0)
         clock.advance(60.0)
         clock.advance(60.0)
-        assert sweep.activations == 1  # identical payloads collapsed
-        assert app.stats["context_cache_hits"]["Sweep"] == 2
+        # Identical payloads collapse for the ``maybe publish`` context;
+        # the ``always publish`` one still runs every sweep.
+        assert quiet.activations == 1
+        assert sweep.activations == 3
+        assert app.stats["context_cache_hits"] == {"QuietSweep": 2}
         metric = app.metrics.value(
-            "context_cache_hits_total", component="Sweep"
+            "context_cache_hits_total", component="QuietSweep"
         )
         assert metric == 2
+
+    @pytest.mark.parametrize("cache", [CacheConfig(), ON])
+    def test_always_publish_context_publishes_every_sweep(self, cache):
+        app, clock, __, __sweep = build(cache, sweep=CountingSweep())
+        published = []
+        app.bus.subscribe(
+            ("context", "Sweep"), lambda event: published.append(event.value)
+        )
+        for __ in range(5):
+            clock.advance(60.0)
+        assert published == [1, 2, 3, 4, 5]
 
     def test_gather_reactivates_on_changed_payload(self):
         app, clock, sources, sweep = build(ON)

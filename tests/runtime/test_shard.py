@@ -23,6 +23,7 @@ from repro.api import (
     BatchConfig,
     CacheConfig,
     Context,
+    DeviceDriver,
     RuntimeConfig,
     ShardBootstrap,
     ShardConfig,
@@ -34,6 +35,7 @@ from repro.api import (
 )
 from repro.errors import BindingError
 from repro.mapreduce.partition import shard_index
+from repro.runtime.shard import _ShardWorker
 from repro.simulation.sensors import FleetSubstrate, SubstrateDriver
 
 DESIGN = """\
@@ -580,6 +582,163 @@ class TestWireProtocol:
             assert stats["quiescent_rows"] > 0
         finally:
             runtime.stop()
+
+
+BEACON_DESIGN = """\
+device Beacon {
+    attribute zone as ZoneEnum;
+    source active as Boolean;
+}
+enumeration ZoneEnum { Z0, Z1 }
+
+context ZoneActive as Integer {
+    when periodic active from Beacon <1 min>
+    grouped by zone
+    always publish;
+}
+
+context AnyActive as Integer {
+    when periodic active from Beacon <1 min>
+    always publish;
+}
+"""
+
+
+class BeaconDriver(DeviceDriver):
+    """Reads a table the test edits between polls."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def read(self, source):
+        return self.table[self.instance.entity_id]
+
+    def read_batch(self, entity_ids, source):
+        return [self.table[entity_id] for entity_id in entity_ids]
+
+    def batch_key(self, source):
+        return self.table
+
+
+class BeaconBootstrap(ShardBootstrap):
+    """50 beacons, every seventh active; built in-process only."""
+
+    def __init__(self, count=50):
+        self.count = count
+        self.table = {
+            entity_id: index % 7 == 0
+            for index, entity_id in enumerate(self.fleet())
+        }
+
+    def fleet(self):
+        return [f"b-{index:02d}" for index in range(self.count)]
+
+    def build(self, ctx):
+        app = Application(
+            analyze(BEACON_DESIGN),
+            RuntimeConfig(batch=BatchConfig(enabled=True)),
+        )
+        app.implement("ZoneActive", Context())
+        app.implement("AnyActive", Context())
+        for position, entity_id in enumerate(self.fleet()):
+            if ctx.owns(entity_id):
+                app.create_device(
+                    "Beacon",
+                    entity_id,
+                    BeaconDriver(self.table),
+                    # Zones in blocks, so registry order is shard order.
+                    zone="Z0" if position < self.count // 2 else "Z1",
+                )
+        return app
+
+
+# Worker 0 of 2 owns these 25 beacons; gap-encoded, their global
+# positions are:
+OWNED_GAPS = [1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 3, 2, 2]
+OWNED_GAPS += [2, 2, 1, 2, 2, 2, 2, 3, 2, 2, 2, 2]
+OWNED_IDS = [
+    "b-01", "b-03", "b-05", "b-07", "b-09", "b-10", "b-12", "b-14",
+    "b-16", "b-18", "b-21", "b-23", "b-25", "b-27", "b-29", "b-30",
+    "b-32", "b-34", "b-36", "b-38", "b-41", "b-43", "b-45", "b-47",
+    "b-49",
+]
+F, T = False, True
+OWNED_VALUES = [F, F, F, T, F, F, F, T, F, F, T, F, F]
+OWNED_VALUES += [F, F, F, F, F, F, F, F, F, F, F, T]
+
+
+def expected_replies(kind, register, reregister):
+    """The five replies of the worker scenario below, keys in wire
+    order."""
+    head = [("dropped", 0), ("failed", 0), ("kind", kind)]
+    return [
+        head + [("reset", True), ("register", register), ("quiescent", 0)],
+        head + [("quiescent", 25)],
+        head + [("changed", ([9], [True])), ("quiescent", 24)],
+        [("dropped", 2), ("failed", 0), ("kind", kind)]
+        + [("retract", [3, 9]), ("quiescent", 23)],
+        head + [("register", reregister), ("quiescent", 23)],
+    ]
+
+
+class TestWorkerDelta:
+    """One worker driven through a delta epoch, reply blocks pinned
+    exactly: reset and registration, a quiescent sweep, one flipped
+    beacon out of 50 (2 %), two sampler-dropped reads (retract), and
+    their re-registration with no registry version bump."""
+
+    def drive(self, name):
+        bootstrap = BeaconBootstrap()
+        worker = _ShardWorker(bootstrap, ShardContext(shards=2, index=0))
+        owned = [instance.entity_id for instance in worker.app.registry]
+        assert owned == OWNED_IDS
+        replies = []
+
+        def poll(minute):
+            reply = worker._cmd_poll(60.0 * minute, name, 0)
+            assert reply.pop("events") == []
+            replies.append(list(reply.items()))
+
+        poll(1)
+        poll(2)
+        bootstrap.table["b-09"] = True
+        poll(3)
+        calls = iter(range(len(owned)))
+        # The sampler loses the reads of b-03 and b-12 (draws 1 and 6).
+        worker.app._read_sampler = lambda interaction: (
+            lambda: next(calls) not in (1, 6)
+        )
+        poll(4)
+        del worker.app._read_sampler
+        poll(5)
+        return replies
+
+    def test_grouped_reply_blocks(self):
+        keys = ("t", ["Z0", "Z1"], bytes([0] * 12 + [1] * 13))
+        assert self.drive("ZoneActive") == expected_replies(
+            "grouped",
+            (OWNED_GAPS, keys, OWNED_VALUES),
+            ([3, 9], ("t", ["Z0"], b"\x00\x00"), [False, False]),
+        )
+
+    def test_flat_reply_blocks(self):
+        register = (
+            OWNED_GAPS,
+            ["Beacon"] * 25,
+            OWNED_IDS,
+            [{"zone": "Z0"}] * 12 + [{"zone": "Z1"}] * 13,
+            OWNED_VALUES,
+        )
+        reregister = (
+            [3, 9],
+            ["Beacon", "Beacon"],
+            ["b-03", "b-12"],
+            [{"zone": "Z0"}, {"zone": "Z0"}],
+            [False, False],
+        )
+        assert self.drive("AnyActive") == expected_replies(
+            "flat", register, reregister
+        )
 
 
 class TestRepartitioning:

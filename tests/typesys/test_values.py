@@ -14,7 +14,12 @@ from repro.typesys.core import (
     STRING,
     StructureType,
 )
-from repro.typesys.values import StructureValue, check_value, coerce_value
+from repro.typesys.values import (
+    StructureValue,
+    check_value,
+    coerce_column,
+    coerce_value,
+)
 
 LOTS = EnumerationType("LotEnum", ("A22", "B16", "D6"))
 AVAILABILITY = StructureType(
@@ -191,3 +196,57 @@ def test_mixed_garbage_never_passes_string_silently(values):
     else:
         with pytest.raises(ValueConformanceError):
             check_value(array_type, values)
+
+
+def _coerced_or_error(coerce):
+    try:
+        return ("ok", coerce())
+    except ValueConformanceError as exc:
+        return ("error", str(exc))
+
+
+class TestCoerceColumn:
+    """``coerce_column`` is ``coerce_value`` mapped over a column: same
+    values, same widening, same first offending value."""
+
+    @given(
+        dia_type=st.sampled_from(
+            [BOOLEAN, INTEGER, FLOAT, STRING, LOTS, ArrayType(INTEGER)]
+        ),
+        column=st.lists(
+            st.one_of(
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False),
+                st.sampled_from(["A22", "B16", "D6", "Z9"]),
+                st.lists(st.integers(), max_size=2),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_coerce_value(self, dia_type, column):
+        column_result = _coerced_or_error(
+            lambda: coerce_column(dia_type, list(column))
+        )
+        value_result = _coerced_or_error(
+            lambda: [coerce_value(dia_type, value) for value in column]
+        )
+        assert column_result == value_result
+        if column_result[0] == "ok":
+            assert [type(v) for v in column_result[1]] == [
+                type(v) for v in value_result[1]
+            ]
+
+    def test_integer_column_widens_to_float(self):
+        assert coerce_column(FLOAT, [1, 2.5, 3]) == [1.0, 2.5, 3.0]
+        assert all(
+            type(v) is float for v in coerce_column(FLOAT, [1, 2.5, 3])
+        )
+
+    def test_conforming_column_is_returned_as_is(self):
+        column = [True, False]
+        assert coerce_column(BOOLEAN, column) is column
+
+    def test_first_offending_value_named(self):
+        with pytest.raises(ValueConformanceError, match="'x'"):
+            coerce_column(INTEGER, [1, "x", "y"])
