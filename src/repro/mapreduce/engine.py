@@ -84,6 +84,53 @@ def _run_reduce_bucket(job: MapReduce, bucket: Pairs) -> Pairs:
     return collector.pairs
 
 
+Tag = Tuple[int, int, int]
+
+
+def map_combine_tagged(
+    job: MapReduce,
+    rows: List[Tuple[int, Hashable, Any]],
+    ranks: Mapping[Hashable, int],
+) -> Tuple[List[Tuple[Tag, Hashable, Any]], int]:
+    """Map and map-side combine one slice of a sweep, tagged for a
+    global merge.
+
+    ``rows`` are ``(position, group key, value)`` readings of one shard
+    or edge node, ``position`` being the reading's place in the whole
+    sweep; ``ranks`` gives each group key its global rank.  Rows are
+    mapped in ``(rank, position)`` order — the slice of the
+    single-process input sequence they form — and each emission is
+    tagged ``(rank, position, emission)``, so tags from different
+    slices compare globally.  With a combiner, emissions combine per
+    output key and each partial keeps its key's smallest tag.  Returns
+    the tagged pairs and the raw map emission count.  Sorts ``rows`` in
+    place.
+    """
+    rows.sort(key=lambda row: (ranks[row[1]], row[0]))
+    pairs: List[Tuple[Tag, Hashable, Any]] = []
+    for position, key, value in rows:
+        collector = MapCollector()
+        job.map(key, value, collector)
+        rank = ranks[key]
+        for emission, (out_key, out_value) in enumerate(collector.pairs):
+            pairs.append(((rank, position, emission), out_key, out_value))
+    mapped = len(pairs)
+    combine = job_combiner(job)
+    if combine is None or not pairs:
+        return pairs, mapped
+    grouped: Dict[Hashable, List[Tuple[Tag, Any]]] = {}
+    for tag, out_key, out_value in pairs:
+        grouped.setdefault(out_key, []).append((tag, out_value))
+    combined = []
+    for out_key, tagged in grouped.items():
+        collector = CombineCollector()
+        combine(out_key, [value for __, value in tagged], collector)
+        first = min(tag for tag, __ in tagged)
+        for pair_key, pair_value in collector.pairs:
+            combined.append((first, pair_key, pair_value))
+    return combined, mapped
+
+
 def _stats(mapped: int, shuffled: int, reduced: int, combine_used: bool):
     return {
         "mapped": mapped,

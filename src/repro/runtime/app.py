@@ -61,6 +61,7 @@ from repro.runtime.component import (
     SourceEvent,
 )
 from repro.faults.policy import HEALTHY
+from repro.faults.supervisor import SupervisionManager
 from repro.runtime.device import DeviceDriver, DeviceInstance
 from repro.runtime.discovery import Discover
 from repro.runtime.grouping import (
@@ -95,11 +96,6 @@ class Application:
         app.create_device("Clock", "clock-1", clock_driver)
         app.start()
         app.advance(60)        # drive virtual time
-
-    The keyword form (``Application(design, clock=..., error_policy=
-    ...)``) is deprecated; keywords are folded into a
-    :class:`RuntimeConfig` with a :class:`DeprecationWarning` for one
-    release.
     """
 
     ERROR_POLICIES = ("raise", "isolate")
@@ -108,31 +104,16 @@ class Application:
         self,
         design: AnalyzedSpec,
         config: Optional[RuntimeConfig] = None,
-        **legacy_kwargs: Any,
     ):
-        if legacy_kwargs:
-            if config is not None:
-                raise TypeError(
-                    "pass either a RuntimeConfig or legacy keyword "
-                    "arguments, not both"
-                )
-            # The one shim entry point; it emits the consolidated
-            # DeprecationWarning itself.
-            config = RuntimeConfig.from_legacy_kwargs(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = RuntimeConfig()
         self.config = config
         self.design = design
         self.name = config.name
         # A NetworkConfig builds a fresh stateful model per application
-        # (single hop or fog topology); legacy pre-built instances pass
-        # through for one release.
-        self.network, self.apply_network_to_reads = config.build_network()
+        # (single hop or fog topology).
+        self.network = config.build_network()
         self.error_policy = config.error_policy
-        # Streaming fast path: contexts declaring ``every <window>`` with
-        # MapReduce fold deliveries incrementally instead of buffering
-        # the whole window (disable to force buffered accumulation).
-        self.streaming_windows = config.streaming_windows
         self._component_errors: List[ComponentError] = []
         self._error_listeners: List[Callable[[str, Exception], None]] = []
         self.clock: Clock = (
@@ -161,11 +142,6 @@ class Application:
         self.qos = QoSMonitor(metrics=self.metrics)
         # Fault-tolerance layer: per-entity breakers/health plus the
         # degraded-delivery policy gathers apply when a source is dark.
-        # Imported here, not at module level: when repro.faults is the
-        # import entry point its own init chain re-enters this module
-        # (faults.supervisor -> telemetry -> chrometrace -> runtime).
-        from repro.faults.supervisor import SupervisionManager
-
         self.supervision = SupervisionManager(
             self.clock,
             default_policy=config.supervision,
@@ -191,10 +167,10 @@ class Application:
             else None
         )
         # Batch hot path (repro.runtime.plan): columnar driver reads
-        # and window folds during sweeps and precompiled
-        # publish/grouping dispatch.  All of it is inert by default —
-        # with ``BatchConfig(enabled=False)`` the scalar read path and
-        # the per-publish topic walk below stay byte-identical.
+        # during sweeps and precompiled publish/grouping dispatch.  All
+        # of it is inert by default — with ``BatchConfig(enabled=False)``
+        # the scalar read path and the per-publish topic walk below stay
+        # byte-identical.
         self.planner: Optional[DeliveryPlanner] = (
             DeliveryPlanner(
                 design, self.bus, self.registry, metrics=self.metrics
@@ -240,18 +216,21 @@ class Application:
             if config.placement.enabled
             else None
         )
-        # id(interaction) -> True for periodic interactions that run
-        # the edge split (resolved once; the design is immutable, so
-        # the same interaction objects flow through _collect_payload
-        # and the shard workers alike).
-        self._edge_interactions: set = set()
-        if self.placement is not None:
-            for info in design.contexts.values():
-                for interaction in info.decl.interactions:
-                    if isinstance(
-                        interaction, WhenPeriodic
-                    ) and self.placement.splits(info.decl, interaction):
-                        self._edge_interactions.add(id(interaction))
+        # One record per periodic gather, keyed the way shard workers
+        # name it.  Built here, not at start(): the design is immutable
+        # and shard workers never start their application.
+        self._gathers: Dict[Tuple[str, int], PeriodicGather] = {
+            (name, index): PeriodicGather(
+                name,
+                index,
+                interaction,
+                self.placement is not None
+                and self.placement.splits(info.decl, interaction),
+            )
+            for name, info in design.contexts.items()
+            for index, interaction in enumerate(info.decl.interactions)
+            if isinstance(interaction, WhenPeriodic)
+        }
         self.discover = Discover(design, self.registry, self.query_context)
         self.started = False
         self._implementations: Dict[str, Component] = {}
@@ -408,7 +387,7 @@ class Application:
     ) -> None:
         """Replace periodic payload collection (sharded-runtime hook).
 
-        ``delegate(interaction, implementation)`` must return exactly
+        ``delegate(gather, implementation)`` must return exactly
         what :meth:`_collect_payload` would — the pre-window payload in
         registry order — while windowing, payload memoization, delivery
         and publishing stay here on the calling application.  Pass
@@ -746,7 +725,7 @@ class Application:
             "(unchanged gather payload or fresh query result).",
             component=name,
         )
-        for interaction in info.decl.interactions:
+        for index, interaction in enumerate(info.decl.interactions):
             if isinstance(interaction, WhenProvidedSource):
                 handler = self._qos_wrap(
                     name,
@@ -761,7 +740,8 @@ class Application:
                     interaction.device, interaction.source, callback
                 )
             elif isinstance(interaction, WhenPeriodic):
-                self._wire_periodic(name, info, interaction, implementation)
+                gather = self._gathers[name, index]
+                self._wire_periodic(gather, implementation)
             elif isinstance(interaction, WhenProvidedContext):
                 handler = self._qos_wrap(
                     name,
@@ -776,7 +756,8 @@ class Application:
                     )
                 )
 
-    def _wire_periodic(self, name, info, interaction, implementation) -> None:
+    def _wire_periodic(self, gather, implementation) -> None:
+        name, interaction = gather.context, gather.interaction
         handler = self._qos_wrap(
             name,
             implementation.find_periodic_handler(
@@ -786,34 +767,28 @@ class Application:
         accumulator = None
         group = interaction.group
         if group is not None and group.window is not None:
-            if group.uses_mapreduce and self.streaming_windows:
-                # Streaming fast path: each sweep's reduced value folds
-                # into one partial aggregate per group through the job's
-                # combine/reduce, so window state is O(groups) instead of
-                # O(deliveries x groups).
+            if group.uses_mapreduce:
+                # Each sweep's reduced value folds into one partial
+                # aggregate per group through the job's combine/reduce,
+                # so window state is O(groups), not O(deliveries x
+                # groups).
                 accumulator = WindowAccumulator.incremental_for_job(
                     interaction.period.seconds,
                     group.window.seconds,
                     implementation,
-                    columnar=self.config.batch.enabled,
                 )
             else:
                 accumulator = WindowAccumulator.for_design(
                     interaction.period.seconds,
                     group.window.seconds,
-                    flatten=not group.uses_mapreduce,
+                    flatten=True,
                 )
             accumulator.attach_metrics(self.metrics, context=name)
             self._accumulators[name] = accumulator
         job = self.clock.schedule_periodic(
             interaction.period.seconds,
             functools.partial(
-                self._gather,
-                name,
-                interaction,
-                implementation,
-                handler,
-                accumulator,
+                self._gather, gather, implementation, handler, accumulator
             ),
         )
         self._jobs.append(job)
@@ -965,9 +940,7 @@ class Application:
             name, lambda: handler(event.value, self.discover)
         )
 
-    def _gather(
-        self, name, interaction, implementation, handler, accumulator
-    ) -> None:
+    def _gather(self, gather, implementation, handler, accumulator) -> None:
         """One periodic sweep: poll, group, mapreduce, window, deliver.
 
         Polling is delegated to the :class:`SweepEngine` — a serial loop
@@ -984,8 +957,9 @@ class Application:
         this sweep (``skip``), serves its last known value
         (``last_known``), or fails the sweep (``fail``)."""
         self._gather_sweeps += 1
+        name, interaction = gather.context, gather.interaction
         collect = self._gather_delegate or self._collect_payload
-        payload = collect(interaction, implementation)
+        payload = collect(gather, implementation)
         if accumulator is not None:
             payload = accumulator.add(payload)
             if payload is None:
@@ -1014,7 +988,7 @@ class Application:
         if result is not _FAILED:
             self._publish_context(name, interaction.publish, result)
 
-    def _collect_payload(self, interaction, implementation) -> Any:
+    def _collect_payload(self, gather, implementation) -> Any:
         """One sweep's pre-window payload: poll, fold, group, mapreduce.
 
         Split from :meth:`_gather` so a sharded runtime can substitute
@@ -1022,7 +996,8 @@ class Application:
         process runs :meth:`_sweep_readings` over its registry shard —
         while windowing, payload memoization and delivery stay with the
         caller."""
-        instances, values = self._sweep_readings(interaction)
+        interaction = gather.interaction
+        instances, values = self._sweep_readings(gather)
         group = interaction.group
         placement = self.placement
         if group is None:
@@ -1032,17 +1007,17 @@ class Application:
                 GatherReading(make_proxy(instance), value)
                 for instance, value in zip(instances, values)
             ]
+        if gather.edge:
+            # Edge split: map + map-side combine run per edge node,
+            # only per-group partials transit the WAN hop, and the
+            # engine's coordinator-side final reduce merges them.
+            return placement.run_edge(
+                self.mapreduce,
+                implementation,
+                list(zip(instances, values)),
+                group.attribute,
+            )
         if placement is not None:
-            if id(interaction) in self._edge_interactions:
-                # Edge split: map + map-side combine run per edge node,
-                # only per-group partials transit the WAN hop, and the
-                # engine's coordinator-side final reduce merges them.
-                return placement.run_edge(
-                    self.mapreduce,
-                    implementation,
-                    list(zip(instances, values)),
-                    group.attribute,
-                )
             placement.account_cloud(zip(instances, values))
         if self.planner is not None:
             grouped = group_readings_planned(
@@ -1059,7 +1034,7 @@ class Application:
         return grouped
 
     def _sweep_readings(
-        self, interaction
+        self, gather
     ) -> Tuple[Sequence[DeviceInstance], Sequence[Any]]:
         """Poll one periodic gather's devices and fold the outcomes:
         the sweep's readings as aligned ``(instances, values)``
@@ -1069,8 +1044,9 @@ class Application:
         through :meth:`_gather_read_column` and returns columns; the
         scalar path's per-instance results are split into the same
         columns, so one fold serves both."""
+        interaction = gather.interaction
         source = interaction.source
-        sampler = self._read_sampler(interaction)
+        sampler = self._read_sampler(gather)
         if self.config.batch.enabled:
             swept = self.sweeper.sweep(
                 interaction.device,
@@ -1133,7 +1109,7 @@ class Application:
         kept_values.extend(values[start:])
         return kept_instances, kept_values
 
-    def _read_sampler(self, interaction) -> Optional[Callable[[], bool]]:
+    def _read_sampler(self, gather) -> Optional[Callable[[], bool]]:
         """Zero-arg survival sampler for this gather's polled reads.
 
         ``None`` when reads are reliable (no network, or loss not
@@ -1141,14 +1117,11 @@ class Application:
         samples only the device→edge access hop — its raw readings
         never touch the WAN — while cloud-placed gathers sample the
         whole path.  Zero-loss hops draw no randomness either way."""
-        if self.network is None or not self.apply_network_to_reads:
-            return None
         network = self.network
+        if network is None or not self.config.network.apply_to_reads:
+            return None
         if isinstance(network, TopologyModel):
-            if (
-                self.placement is not None
-                and id(interaction) in self._edge_interactions
-            ):
+            if gather.edge:
                 access = self.config.placement.access_hop
                 if access not in network.hop_names:
                     return None
@@ -1338,6 +1311,19 @@ class Application:
             ("context", name),
             ContextEvent(name, checked, self.clock.now()),
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class PeriodicGather:
+    """One ``when periodic`` interaction of the design, resolved once.
+
+    ``(context, index)`` is how shard workers name the gather; ``edge``
+    says whether the placement tier's edge split runs it."""
+
+    context: str
+    index: int
+    interaction: WhenPeriodic
+    edge: bool
 
 
 def _unhealthy(supervisors) -> Any:

@@ -37,7 +37,6 @@ from repro.runtime.plan import missing
 from repro.telemetry.instrument import Instrumented, MetricSpec
 
 Fold = Callable[[Hashable, Any, Any], Any]
-ColumnFold = Callable[[Hashable, List[Any]], Any]
 
 
 def group_readings(
@@ -114,34 +113,6 @@ def fold_for_job(job: Any) -> Fold:
     return fold
 
 
-def column_fold_for_job(job: Any) -> ColumnFold:
-    """Build a *columnar* fold from a MapReduce job.
-
-    Where :func:`fold_for_job` folds values pairwise — one phase call
-    per arriving value — the columnar fold hands the phase a whole
-    column (``[accumulated, v1, v2, ...]``) in one call.  For an
-    associative phase (already required by incremental mode) the result
-    is identical; the saving is one ``FoldCollector`` and one Python
-    call per column instead of per value.
-    """
-    phase = job_combiner(job) or job.reduce
-
-    def fold_column(key: Hashable, values: List[Any]) -> Any:
-        if len(values) == 1:
-            return values[0]
-        collector = FoldCollector()
-        phase(key, values, collector)
-        pairs = collector.pairs
-        if len(pairs) != 1:
-            raise ValueError(
-                f"columnar fold for key {key!r} must emit exactly one "
-                f"pair, got {len(pairs)}"
-            )
-        return pairs[0][1]
-
-    return fold_column
-
-
 class WindowAccumulator(Instrumented):
     """Accumulates grouped deliveries until a window's worth has arrived.
 
@@ -202,18 +173,14 @@ class WindowAccumulator(Instrumented):
         deliveries_per_window: int,
         flatten: bool,
         fold: Optional[Fold] = None,
-        fold_column: Optional[ColumnFold] = None,
     ):
         if deliveries_per_window < 1:
             raise ValueError("a window must span at least one delivery")
-        if fold_column is not None and fold is None:
-            raise ValueError(
-                "fold_column requires an incremental accumulator (fold)"
-            )
+        if fold is not None and flatten:
+            raise ValueError("an incremental accumulator never flattens")
         self.deliveries_per_window = deliveries_per_window
         self.flatten = flatten
         self.fold = fold
-        self.fold_column = fold_column
         self._buffer: Dict[Hashable, Any] = {}
         self._count = 0
         self._buffered_values = 0
@@ -234,26 +201,16 @@ class WindowAccumulator(Instrumented):
         period_seconds: float,
         window_seconds: float,
         job: Any,
-        flatten: bool = False,
-        columnar: bool = False,
     ) -> "WindowAccumulator":
         """Incremental accumulator folding deliveries through ``job``.
 
         ``job`` is any MapReduce implementation (a context declaring
         ``with map ... reduce ...``); its ``combine`` hook is preferred,
-        its ``reduce`` phase is the fallback.  With ``columnar=True``
-        (the ``BatchConfig(enabled=True)`` path), flattened columns
-        fold through one phase call per delivery instead of one per
-        value — identical results for the associative phases this mode
-        already requires.
+        its ``reduce`` phase is the fallback.  Each delivery maps a
+        group to one reduced value, which folds as one item.
         """
         deliveries = max(1, round(window_seconds / period_seconds))
-        return cls(
-            deliveries,
-            flatten,
-            fold=fold_for_job(job),
-            fold_column=column_fold_for_job(job) if columnar else None,
-        )
+        return cls(deliveries, False, fold=fold_for_job(job))
 
     @property
     def incremental(self) -> bool:
@@ -292,23 +249,12 @@ class WindowAccumulator(Instrumented):
     def _add_incremental(self, grouped: Dict[Hashable, Any]) -> None:
         buffer = self._buffer
         fold = self.fold
-        fold_column = self.fold_column
         for key, value in grouped.items():
-            is_column = self.flatten and isinstance(value, (list, tuple))
-            if fold_column is not None and is_column and value:
-                if key in buffer:
-                    buffer[key] = fold_column(key, [buffer[key], *value])
-                else:
-                    buffer[key] = fold_column(key, list(value))
-                    self._buffered_values += 1
-                continue
-            values = value if is_column else (value,)
-            for item in values:
-                if key in buffer:
-                    buffer[key] = fold(key, buffer[key], item)
-                else:
-                    buffer[key] = item
-                    self._buffered_values += 1
+            if key in buffer:
+                buffer[key] = fold(key, buffer[key], value)
+            else:
+                buffer[key] = value
+                self._buffered_values += 1
 
     @property
     def pending_deliveries(self) -> int:
@@ -323,6 +269,5 @@ class WindowAccumulator(Instrumented):
     def _extra_stats(self) -> Dict[str, Any]:
         return {
             "mode": "incremental" if self.incremental else "buffered",
-            "columnar": self.fold_column is not None,
             "deliveries_per_window": self.deliveries_per_window,
         }

@@ -16,14 +16,14 @@ stop at the access network:
 * :class:`NetworkConfig` — frozen description of the simulated network;
   builds a single-hop :class:`~repro.simulation.network.NetworkConditions`
   or a multi-hop :class:`~repro.simulation.network.TopologyModel` per
-  application (replacing the deprecated ``RuntimeConfig(network=…,
-  apply_network_to_reads=…)`` pair).
+  application.
 * :class:`PlacementConfig` — frozen placement policy on
   :class:`~repro.runtime.config.RuntimeConfig`, off by default like
   ``SweepConfig``/``CacheConfig``/``BatchConfig``/``ShardConfig``.
 * :class:`PlacementExecutor` — the runtime half: partitions a sweep's
-  readings across edge nodes, runs map + combine per node with the
-  sharded runtime's ``(rank, gpos, emission)`` tag discipline, ships the
+  readings across edge nodes, runs map + combine per node through the
+  sharded runtime's tagged map+combine
+  (:func:`~repro.mapreduce.engine.map_combine_tagged`), ships the
   surviving partials over the WAN hop with byte accounting, and hands
   them to :meth:`MapReduceEngine.merge_partials` for the cloud-side
   final reduce.
@@ -42,11 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import BindingError, PlacementError
-from repro.mapreduce.api import (
-    CombineCollector,
-    MapCollector,
-    job_combiner,
-)
+from repro.mapreduce.engine import map_combine_tagged
 from repro.runtime.configbase import ConfigBase
 from repro.simulation.network import (
     HopProfile,
@@ -146,8 +142,7 @@ class NetworkConfig(ConfigBase):
     classic single-hop model; ``hops`` describes a multi-hop fog
     topology instead (conventionally ``access`` + ``wan``).  The two
     forms are mutually exclusive.  ``apply_to_reads`` extends loss to
-    polled gather reads, replacing the deprecated
-    ``RuntimeConfig(apply_network_to_reads=…)`` flag.
+    polled gather reads.
 
     The config is immutable deployment data; :meth:`build` constructs a
     fresh stateful model (RNG streams, counters) per application, so
@@ -506,7 +501,7 @@ class PlacementExecutor(Instrumented):
         merge through the engine's coordinator-side final reduce.
         """
         self._edge_sweeps += 1
-        keyed: List[Tuple[int, Any, Any, str]] = []
+        nodes: Dict[str, List[Tuple[int, Any, Any]]] = {}
         ranks: Dict[Any, int] = {}
         for position, (instance, value) in enumerate(readings):
             self._account_access(payload_nbytes(value))
@@ -520,47 +515,13 @@ class PlacementExecutor(Instrumented):
             if key not in ranks:
                 ranks[key] = len(ranks)
             node = self.node_for(instance, group_attribute)
-            keyed.append((position, key, value, node))
-        nodes: Dict[str, List[Tuple[int, Any, Any]]] = {}
-        for position, key, value, node in keyed:
             nodes.setdefault(node, []).append((position, key, value))
         self._last_nodes = len(nodes)
-        combine = job_combiner(job)
         tagged: List[Tuple[Tuple[int, int, int], Any, Any]] = []
         mapped = 0
         for node in sorted(nodes):
-            rows = nodes[node]
-            rows.sort(key=lambda row: (ranks[row[1]], row[0]))
-            pairs: List[Tuple[Tuple[int, int, int], Any, Any]] = []
-            for position, key, value in rows:
-                collector = MapCollector()
-                job.map(key, value, collector)
-                rank = ranks[key]
-                for emission, (out_key, out_value) in enumerate(
-                    collector.pairs
-                ):
-                    pairs.append(
-                        ((rank, position, emission), out_key, out_value)
-                    )
-            mapped += len(pairs)
-            if combine is not None and pairs:
-                grouped: Dict[Any, List[Tuple[Any, Any]]] = {}
-                for tag, out_key, out_value in pairs:
-                    grouped.setdefault(out_key, []).append(
-                        (tag, out_value)
-                    )
-                combined = []
-                for out_key, pairs_for_key in grouped.items():
-                    collector = CombineCollector()
-                    combine(
-                        out_key,
-                        [value for __, value in pairs_for_key],
-                        collector,
-                    )
-                    first = min(tag for tag, __ in pairs_for_key)
-                    for pair_key, pair_value in collector.pairs:
-                        combined.append((first, pair_key, pair_value))
-                pairs = combined
+            pairs, emitted = map_combine_tagged(job, nodes[node], ranks)
+            mapped += emitted
             tagged.extend(self.deliver_partials(pairs))
         tagged.sort(key=lambda pair: pair[0])
         pairs = [(key, value) for __, key, value in tagged]

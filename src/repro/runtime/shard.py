@@ -72,11 +72,7 @@ from typing import (
 )
 
 from repro.errors import BindingError, ShardError
-from repro.mapreduce.api import (
-    CombineCollector,
-    MapCollector,
-    job_combiner,
-)
+from repro.mapreduce.engine import map_combine_tagged
 from repro.mapreduce.partition import shard_index
 from repro.runtime.clock import SimulationClock
 from repro.runtime.component import GatherReading, SourceEvent
@@ -488,16 +484,16 @@ class _ShardWorker:
         """
         self.clock.run_until(target)
         app = self.app
-        interaction = app.design.contexts[name].decl.interactions[index]
+        gather = app._gathers[name, index]
         dropped_before = app._gather_network_dropped
         failed_before = app._gather_read_failed
-        instances, values = app._sweep_readings(interaction)
+        instances, values = app._sweep_readings(gather)
         reply: Dict[str, Any] = {
             "dropped": app._gather_network_dropped - dropped_before,
             "failed": app._gather_read_failed - failed_before,
             "events": self._drain_events(),
         }
-        group = interaction.group
+        group = gather.interaction.group
         if group is not None and group.uses_mapreduce:
             gpos = self._gpos
             keyed = [
@@ -688,30 +684,7 @@ class _ShardWorker:
         """
         keyed = self._pending.pop((name, index))
         job = self.app.implementation(name)
-        keyed.sort(key=lambda row: (ranks[row[1]], row[0]))
-        pairs: List[Tuple[Tuple[int, int, int], Any, Any]] = []
-        for position, key, value in keyed:
-            collector = MapCollector()
-            job.map(key, value, collector)
-            rank = ranks[key]
-            emissions = enumerate(collector.pairs)
-            for emission, (out_key, out_value) in emissions:
-                tag = (rank, position, emission)
-                pairs.append((tag, out_key, out_value))
-        mapped = len(pairs)
-        combine = job_combiner(job)
-        if combine is not None and pairs:
-            grouped: Dict[Any, List[Tuple[Any, Any]]] = {}
-            for tag, out_key, out_value in pairs:
-                grouped.setdefault(out_key, []).append((tag, out_value))
-            combined = []
-            for out_key, tagged in grouped.items():
-                collector = CombineCollector()
-                combine(out_key, [v for __, v in tagged], collector)
-                first = min(tag for tag, __ in tagged)
-                for pair_key, pair_value in collector.pairs:
-                    combined.append((first, pair_key, pair_value))
-            pairs = combined
+        pairs, mapped = map_combine_tagged(job, keyed, ranks)
         return {
             "data": pairs,
             "mapped": mapped,
@@ -1292,13 +1265,6 @@ class ShardedRuntime(Instrumented):
         # Next global registration position handed to a dynamic
         # rebind — the static fleet occupies [0, len(fleet)).
         self._next_position = len(bootstrap.fleet())
-        # interaction identity -> (context name, interaction index);
-        # how the delegate names a gather to the workers.
-        self._interactions: Dict[int, Tuple[str, int]] = {}
-        for name, info in self.app.design.contexts.items():
-            interactions = info.decl.interactions
-            for position, interaction in enumerate(interactions):
-                self._interactions[id(interaction)] = (name, position)
         # entity id -> coordinator-side proxy, built lazily from worker
         # reply rows (attributes are static for the fleet's lifetime).
         self._proxies: Dict[str, ShardEntityProxy] = {}
@@ -1539,7 +1505,7 @@ class ShardedRuntime(Instrumented):
 
     # -- the delegated gather -------------------------------------------
 
-    def _collect_sharded(self, interaction, implementation) -> Any:
+    def _collect_sharded(self, gather, implementation) -> Any:
         """Collect one periodic gather across all shards.
 
         Replaces ``Application._collect_payload`` via the gather
@@ -1550,7 +1516,7 @@ class ShardedRuntime(Instrumented):
         final reduce for MapReduce gathers.
         """
         app = self.app
-        name, index = self._interactions[id(interaction)]
+        name, index = gather.context, gather.index
         self._sweeps += 1
         polls = self.router.broadcast("poll", (app.clock.now(), name, index))
         app._gather_network_dropped += sum(r["dropped"] for r in polls)
@@ -1575,7 +1541,7 @@ class ShardedRuntime(Instrumented):
         for reply in maps:
             self._replay_events(reply["events"])
         tagged = [pair for reply in maps for pair in reply["data"]]
-        if placement is not None and id(interaction) in app._edge_interactions:
+        if gather.edge:
             # One edge node per shard: the worker-side map+combine *is*
             # the edge execution, so the shipped partials are the WAN
             # traffic — sample loss and account bytes per partial.

@@ -18,10 +18,8 @@ The pre-existing ad-hoc surfaces (``bus.stats()``,
 same numbers.
 """
 
-# Import order matters: the registry must be bound before chrometrace,
-# whose import chain re-enters this package via repro.runtime.app
-# (app.py imports MetricsRegistry from the partially initialized
-# module).
+# No module of this package imports repro.runtime: the runtime and the
+# MapReduce engine import telemetry, so either may be imported first.
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     CallbackValue,

@@ -19,9 +19,12 @@ or https://ui.perfetto.dev:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Union
 
-from repro.runtime.tracing import TraceEntry, Tracer
+from repro.telemetry.timeline import TraceEntry
+
+if TYPE_CHECKING:  # pragma: no cover - hints only (runtime imports us)
+    from repro.runtime.tracing import Tracer
 
 __all__ = [
     "chrome_trace_events",

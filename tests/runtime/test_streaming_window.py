@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.mapreduce.api import MapReduce
 from repro.runtime.app import Application
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.component import Context
 from repro.runtime.device import CallableDriver
 from repro.runtime.grouping import WindowAccumulator, fold_for_job
@@ -91,12 +90,9 @@ class TestIncrementalAccumulator:
         acc.add({"A": 5})
         assert acc.add({"A": 6}) == {"A": 11}
 
-    def test_incremental_flatten_folds_each_value(self):
-        acc = WindowAccumulator(
-            2, flatten=True, fold=fold_for_job(SumJob())
-        )
-        acc.add({"A": [1, 2, 3]})
-        assert acc.add({"A": [4]}) == {"A": 10}
+    def test_incremental_rejects_flatten(self):
+        with pytest.raises(ValueError, match="never flattens"):
+            WindowAccumulator(2, flatten=True, fold=fold_for_job(SumJob()))
 
 
 # Deliveries: per-sweep reduced values, one int per group per delivery.
@@ -144,8 +140,9 @@ def fold_reduce(job, key, values):
 
 
 # ---------------------------------------------------------------------------
-# Application-level: the streaming path is the default for `every` +
-# MapReduce contexts and publishes identical values to buffered mode.
+# Application-level: `every` + MapReduce contexts always fold
+# incrementally and publish what a buffered accumulator fed the same
+# per-sweep payloads would.
 # ---------------------------------------------------------------------------
 
 WINDOWED_DESIGN = """\
@@ -165,7 +162,8 @@ context DailyFree as Integer {
 
 
 class DailyFreeImpl(Context, MapReduce):
-    """Counts free spaces; window handler tolerates both payload shapes."""
+    """Counts free spaces; the window handler takes folded values and
+    the buffered reference's value lists alike."""
 
     def __init__(self):
         super().__init__()
@@ -190,12 +188,18 @@ class DailyFreeImpl(Context, MapReduce):
         return sum(totals.values())
 
 
-def build_windowed(streaming):
-    app = Application(
-        analyze(WINDOWED_DESIGN),
-        RuntimeConfig(streaming_windows=streaming),
-    )
+def build_windowed():
+    """The windowed app plus the pre-window payload of every sweep."""
+    app = Application(analyze(WINDOWED_DESIGN))
     impl = app.implement("DailyFree", DailyFreeImpl())
+    payloads = []
+
+    def collect(gather, implementation):
+        payload = app._collect_payload(gather, implementation)
+        payloads.append(payload)
+        return payload
+
+    app.attach_gather_delegate(collect)
     published = []
     app.bus.subscribe(
         ("context", "DailyFree"), lambda event: published.append(event.value)
@@ -212,32 +216,40 @@ def build_windowed(streaming):
                 parkingLot=lot,
             )
     app.start()
-    return app, impl, published
+    return app, impl, published, payloads
+
+
+def buffered_reference(payloads, per_window=3):
+    """Feed recorded sweep payloads through a buffered accumulator and
+    the same handler: what buffering the whole window publishes."""
+    impl = DailyFreeImpl()
+    accumulator = WindowAccumulator(per_window, flatten=False)
+    published = []
+    for payload in payloads:
+        window = accumulator.add(payload)
+        if window is not None:
+            published.append(impl.on_periodic_presence(window, None))
+    return impl, published, accumulator
 
 
 class TestStreamingWindowApplication:
     def test_streaming_is_default_and_matches_buffered(self):
-        streaming_app, streaming_impl, streaming_published = build_windowed(
-            True
-        )
-        buffered_app, buffered_impl, buffered_published = build_windowed(
-            False
+        app, streaming_impl, streaming_published, payloads = (
+            build_windowed()
         )
         # Two 30-minute windows of 3 sweeps each.
-        streaming_app.advance(3600)
-        buffered_app.advance(3600)
+        app.advance(3600)
+        buffered_impl, buffered_published, __ = buffered_reference(payloads)
         assert streaming_published == buffered_published
         assert streaming_impl.windows == buffered_impl.windows
         # 2 free in A22 + 1 free in B16, times 3 sweeps per window.
         assert streaming_published == [9, 9]
 
     def test_streaming_window_state_is_constant_in_sweeps(self):
-        streaming_app, __, ___ = build_windowed(True)
-        buffered_app, __, ___ = build_windowed(False)
-        streaming_app.advance(3600)
-        buffered_app.advance(3600)
-        streaming = streaming_app.stats["windows"]["DailyFree"]
-        buffered = buffered_app.stats["windows"]["DailyFree"]
+        app, __, ___, payloads = build_windowed()
+        app.advance(3600)
+        streaming = app.stats["windows"]["DailyFree"]
+        buffered = buffered_reference(payloads)[2].stats()
         assert streaming["mode"] == "incremental"
         assert buffered["mode"] == "buffered"
         assert streaming["peak_buffered_values"] == 2  # one per lot

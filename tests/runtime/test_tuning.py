@@ -356,7 +356,7 @@ class TestApplyConfig:
         with pytest.raises(TuningError, match="structural"):
             app.apply_config(app.config.replace(name="other"))
         with pytest.raises(TuningError, match="structural"):
-            app.apply_config(app.config.replace(streaming_windows=False))
+            app.apply_config(app.config.replace(supervision_seed=7))
 
     def test_shard_section_is_structural(self):
         from repro.runtime.shard import ShardConfig
